@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .layers import Conv1d, Conv2d, LayerError, Linear, conv1d_same, conv2d, global_pool
+from .layers import (Conv1d, Conv2d, LayerError, Linear, Module, conv1d_same, conv2d,
+                     global_pool)
 from .rng import SplitMix64
 from .tensor import Tensor, concat, relu, sigmoid
 
@@ -27,7 +28,7 @@ def _hidden_width(channels: int, reduction: int) -> int:
     return max(1, channels // reduction)
 
 
-class SeBlock:
+class SeBlock(Module):
     """Squeeze-and-excitation: global average pool, bottleneck MLP, channel gates.
 
     The two fully connected stages carry no biases; the bottleneck width is
@@ -50,8 +51,8 @@ class SeBlock:
         s = sigmoid(self.fc2.forward(relu(self.fc1.forward(z))))
         return u * s.reshape(n, c, 1, 1)
 
-    def params(self):
-        return [("0.weight", self.fc1.weight), ("1.weight", self.fc2.weight)]
+    def children(self):
+        return (("0", self.fc1), ("1", self.fc2))
 
 
 def eca_kernel_size(channels: int, gamma: int) -> int:
@@ -68,7 +69,7 @@ def eca_kernel_size(channels: int, gamma: int) -> int:
     return max(1, k)
 
 
-class EcaBlock:
+class EcaBlock(Module):
     """Efficient channel attention: pooled descriptor, 1D conv, channel gates."""
 
     def __init__(self, channels: int, gamma: int = 16,
@@ -85,11 +86,11 @@ class EcaBlock:
         s = sigmoid(conv1d_same(z, self.conv.weight))
         return u * s.reshape(n, c, 1, 1)
 
-    def params(self):
-        return [("0.weight", self.conv.weight)]
+    def children(self):
+        return (("0", self.conv),)
 
 
-class CbamBlock:
+class CbamBlock(Module):
     """Convolutional block attention: a channel pass then a spatial pass.
 
     The channel pass feeds average- and max-pooled descriptors through one
@@ -138,9 +139,8 @@ class CbamBlock:
         _, f_s = self.spatial_attention(f_c)
         return f_s
 
-    def params(self):
-        return [("0.weight", self.fc1.weight), ("1.weight", self.fc2.weight),
-                ("2.weight", self.spatial.weight)]
+    def children(self):
+        return (("0", self.fc1), ("1", self.fc2), ("2", self.spatial))
 
 
 ATTENTION_KINDS = ("none", "se", "eca", "cbam")

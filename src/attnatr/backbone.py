@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .attention import ATTENTION_KINDS, make_attention
-from .layers import BatchNorm2d, Conv2d, LayerError, Linear, global_pool, pool2d
+from .layers import BatchNorm2d, Conv2d, LayerError, Linear, Module, global_pool, pool2d
 from .rng import SplitMix64
 from .tensor import Tensor, relu
 
@@ -78,7 +76,7 @@ def desk_config(attention: str = "none", **overrides) -> ModelConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-class BasicBlock:
+class BasicBlock(Module):
     """Two 3x3 conv+bn stages with a skip path and optional attention."""
 
     def __init__(self, in_ch: int, out_ch: int, stride: int, cfg: ModelConfig,
@@ -116,27 +114,14 @@ class BasicBlock:
             y = y + self.att.forward(y)
         return y
 
-    def params(self):
-        out = [("conv1.weight", self.conv1.weight)]
-        out += [("bn1." + n, p) for n, p in self.bn1.params()]
-        out.append(("conv2.weight", self.conv2.weight))
-        out += [("bn2." + n, p) for n, p in self.bn2.params()]
-        if self.downsample is not None:
-            conv, bn = self.downsample
-            out.append(("downsample.conv.weight", conv.weight))
-            out += [("downsample.bn." + n, p) for n, p in bn.params()]
-        if self.att is not None:
-            out += [("att." + n, p) for n, p in self.att.params()]
-        return out
-
-    def batchnorms(self):
-        bns = [("bn1", self.bn1), ("bn2", self.bn2)]
-        if self.downsample is not None:
-            bns.append(("downsample.bn", self.downsample[1]))
-        return bns
+    def children(self):
+        down_conv, down_bn = self.downsample or (None, None)
+        return (("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2),
+                ("bn2", self.bn2), ("downsample.conv", down_conv),
+                ("downsample.bn", down_bn), ("att", self.att))
 
 
-class ResNet:
+class ResNet(Module):
     """The assembled classifier; build via :func:`build_resnet18`."""
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -172,22 +157,17 @@ class ResNet:
         h = pool2d("max", h, window=3, stride=2, padding=1)
         if capture is not None and "stem" in capture:
             capture["stem"] = h
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                h = block.forward(h, mode)
-                name = f"stage{s + 1}.{b}"
-                if capture is not None and name in capture:
-                    capture[name] = h
+        for name, block in self._named_blocks():
+            h = block.forward(h, mode)
+            if capture is not None and name in capture:
+                capture[name] = h
         n = h.shape[0]
         pooled = global_pool("avg", h).reshape(n, h.shape[1])
         return self.head.forward(pooled)
 
     def feature_layers(self) -> list[str]:
         """Names usable as Grad-CAM capture points, shallow to deep."""
-        names = ["stem"]
-        for s, blocks in enumerate(self.stages):
-            names += [f"stage{s + 1}.{b}" for b in range(len(blocks))]
-        return names
+        return ["stem"] + [name for name, _ in self._named_blocks()]
 
     def forward_capture(self, x: Tensor, layer_name: str):
         """Eval-mode forward returning (logits, captured feature tensor)."""
@@ -198,59 +178,15 @@ class ResNet:
         logits = self.forward(x, mode="eval", capture=capture)
         return logits, capture[layer_name]
 
-    # -- parameters -------------------------------------------------------
+    # -- checkpoint names -------------------------------------------------
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        out = [("stem.conv.weight", self.stem_conv.weight)]
-        out += [("stem.bn." + n, p) for n, p in self.stem_bn.params()]
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                prefix = f"stage{s + 1}.{b}."
-                out += [(prefix + n, p) for n, p in block.params()]
-        out += [("head." + n, p) for n, p in self.head.params()]
-        return out
+    def _named_blocks(self):
+        return [(f"stage{s + 1}.{b}", block)
+                for s, blocks in enumerate(self.stages) for b, block in enumerate(blocks)]
 
-    def _named_batchnorms(self):
-        out = [("stem.bn", self.stem_bn)]
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                prefix = f"stage{s + 1}.{b}."
-                out += [(prefix + n, bn) for n, bn in block.batchnorms()]
-        return out
-
-    def named_state(self) -> list[tuple[str, np.ndarray]]:
-        """Trainable parameters plus batchnorm running stats, checkpoint order."""
-        out = [(name, p.data) for name, p in self.named_params()]
-        for name, bn in self._named_batchnorms():
-            out += [(f"{name}.{k}", v) for k, v in bn.buffers()]
-        return out
-
-    def load_state(self, tensors: dict[str, np.ndarray]):
-        expected = dict(self.named_state())
-        missing = sorted(set(expected) - set(tensors))
-        unknown = sorted(set(tensors) - set(expected))
-        if missing or unknown:
-            raise LayerError(
-                f"checkpoint/model mismatch: missing {missing}, unknown {unknown}")
-        params = dict(self.named_params())
-        bns = dict(self._named_batchnorms())
-        for name, arr in tensors.items():
-            if arr.shape != expected[name].shape:
-                raise LayerError(
-                    f"shape mismatch for {name}: checkpoint {arr.shape}, "
-                    f"model {expected[name].shape}")
-            if name in params:
-                params[name].data = np.ascontiguousarray(arr, dtype=np.float64)
-            else:
-                bn_name, _, buf = name.rpartition(".")
-                setattr(bns[bn_name], buf, np.ascontiguousarray(arr, dtype=np.float64))
-
-    def num_params(self) -> int:
-        return sum(p.size for _, p in self.named_params())
-
-    def zero_grad(self):
-        for _, p in self.named_params():
-            p.grad = None
+    def children(self):
+        return [("stem.conv", self.stem_conv), ("stem.bn", self.stem_bn),
+                *self._named_blocks(), ("head", self.head)]
 
 
 def build_resnet18(cfg: ModelConfig, seed: int) -> ResNet:

@@ -1,6 +1,6 @@
 """Command-line harness.
 
-Commands: train, eval, perturb-eval, gradcam, synth-gen.  Exit status is 0 on
+Commands: train, eval, gradcam, synth-gen.  Exit status is 0 on
 success, 1 on usage errors (message on stderr), 2 on runtime errors.
 """
 
@@ -34,12 +34,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="attnatr", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="base seed override")
-
     p = sub.add_parser("train", help="train one model or run the full protocol")
-    common(p)
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--seed", type=int, help="base seed override")
     p.add_argument("--attention", choices=("none", "se", "eca", "cbam"))
     p.add_argument("--insertion", choices=("in_block", "residual_wrap"))
     p.add_argument("--epochs", type=int)
@@ -49,7 +46,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt-dir", help="directory for per-trial protocol checkpoints")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint, optionally under noise")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="base seed of the noise trials")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--split", default="test")
@@ -57,16 +54,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--out", help="also write the report to this file")
-
-    p = sub.add_parser("perturb-eval", help="eval under the default 3/255 noise")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--std", type=float, default=3.0 / 255.0)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--out")
 
     p = sub.add_parser("gradcam", help="emit a saliency overlay for one image")
     p.add_argument("--model", required=True)
@@ -88,19 +75,12 @@ def _build_parser() -> _Parser:
 
 
 def _resolved_config(args) -> dict:
-    layers = []
-    if getattr(args, "config", None):
-        layers.append(cfgmod.load_config(args.config))
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
-    for key, attr in (("model.attention", "attention"), ("model.insertion", "insertion"),
-                      ("train.epochs", "epochs")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
-    layers.append(overrides)
-    return cfgmod.resolve(*layers)
+    layers = [cfgmod.load_config(args.config)] if args.config else []
+    overrides = {key: str(value) for key, value in (
+        ("seed", args.seed), ("model.attention", args.attention),
+        ("model.insertion", args.insertion), ("train.epochs", args.epochs))
+        if value is not None}
+    return cfgmod.resolve(*layers, overrides)
 
 
 def _emit(text: str, out_path=None):
@@ -141,15 +121,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _eval_common(args, sigma: float) -> int:
+def _cmd_eval(args) -> int:
+    sigma = args.perturb_std
     model = load_model(args.model)
     dataset = load_dataset(args.data, split=args.split, size=model.cfg.input_size)
-    seed = args.seed if args.seed is not None else 0
     accs = []
     for trial in range(max(1, args.trials)):
         ds = dataset
         if sigma > 0:
-            spec = PerturbSpec(scale=sigma, seed=derive_seed(seed, "eval", trial))
+            spec = PerturbSpec(scale=sigma, seed=derive_seed(args.seed, "eval", trial))
             ds = perturb_dataset(dataset, spec)
         accs.append(top1_accuracy(model, ds, args.batch_size))
     tag = f"{model.cfg.attention} ResNet-18" if model.cfg.attention != "none" \
@@ -159,14 +139,6 @@ def _eval_common(args, sigma: float) -> int:
     report = format_report([TrialReport(tag, accs)], title=title, trials=len(accs))
     _emit(report, args.out)
     return 0
-
-
-def _cmd_eval(args) -> int:
-    return _eval_common(args, args.perturb_std)
-
-
-def _cmd_perturb_eval(args) -> int:
-    return _eval_common(args, args.std)
 
 
 def _cmd_gradcam(args) -> int:
@@ -193,7 +165,6 @@ def _cmd_synth_gen(args) -> int:
 _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "perturb-eval": _cmd_perturb_eval,
     "gradcam": _cmd_gradcam,
     "synth-gen": _cmd_synth_gen,
 }

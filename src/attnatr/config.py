@@ -86,6 +86,14 @@ def get_float(cfg, key) -> float:
         raise ConfigFileError(f"config key {key!r}: expected number: {exc}") from exc
 
 
+def get_int_tuple(cfg, key) -> tuple:
+    try:
+        return tuple(int(v) for v in cfg[key].split(","))
+    except (KeyError, ValueError) as exc:
+        raise ConfigFileError(
+            f"config key {key!r}: expected comma-separated integers: {exc}") from exc
+
+
 def get_str(cfg, key, choices=None) -> str:
     try:
         value = cfg[key]

@@ -346,13 +346,16 @@ def write_synth_dir(cfg: SynthConfig, out_dir, split: str = "test") -> int:
 
 def _load_manifest_dir(root: Path, size: int | None) -> Dataset:
     entries = []
-    for line in (root / "manifest.tsv").read_text().splitlines():
+    for lineno, line in enumerate((root / "manifest.tsv").read_text().splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 4:
             raise DatasetError(f"malformed manifest line: {line!r}")
-        entries.append((int(parts[0]), int(parts[1]), parts[2]))
+        index, class_id = int(parts[0]), int(parts[1])
+        if class_id < 0:
+            raise DatasetError(f"manifest line {lineno}: negative class id in {line!r}")
+        entries.append((index, class_id, parts[2]))
     class_names: list[str] = []
     for _, class_id, name in entries:
         while len(class_names) <= class_id:

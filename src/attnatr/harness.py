@@ -8,7 +8,7 @@ printed per-test values under round-half-even at two decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -233,23 +233,18 @@ def perturb_spec_from(cfg: dict) -> PerturbSpec:
     )
 
 
+# Sidecar parser per ModelConfig field, chosen by the type of its default.
+_SIDECAR_GETTERS = {int: cfgmod.get_int, str: cfgmod.get_str, tuple: cfgmod.get_int_tuple}
+
+
 def save_model(path, model: ResNet):
     """Write the checkpoint plus a flat-config sidecar describing the topology."""
     save_checkpoint(path, model.named_state())
-    cfg = model.cfg
-    sidecar = {
-        "model.in_channels": str(cfg.in_channels),
-        "model.input_size": str(cfg.input_size),
-        "model.num_classes": str(cfg.num_classes),
-        "model.stage_widths": ",".join(str(w) for w in cfg.stage_widths),
-        "model.blocks_per_stage": str(cfg.blocks_per_stage),
-        "model.attention": cfg.attention,
-        "model.insertion": cfg.insertion,
-        "model.reduction": str(cfg.reduction),
-        "model.eca_gamma": str(cfg.eca_gamma),
-        "model.spatial_kernel": str(cfg.spatial_kernel),
-        "model.seed": str(model.seed),
-    }
+    sidecar = {"model.seed": str(model.seed)}
+    for f in fields(ModelConfig):
+        value = getattr(model.cfg, f.name)
+        sidecar[f"model.{f.name}"] = ",".join(str(v) for v in value) \
+            if isinstance(f.default, tuple) else str(value)
     Path(str(path) + ".cfg").write_text(cfgmod.format_config(sidecar))
 
 
@@ -261,18 +256,8 @@ def load_model(path) -> ResNet:
             f"missing topology sidecar {sidecar_path}; checkpoints are saved "
             "with a .cfg companion describing the architecture")
     side = cfgmod.parse_config(sidecar_path.read_text())
-    cfg = ModelConfig(
-        in_channels=cfgmod.get_int(side, "model.in_channels"),
-        input_size=cfgmod.get_int(side, "model.input_size"),
-        num_classes=cfgmod.get_int(side, "model.num_classes"),
-        stage_widths=tuple(int(w) for w in side["model.stage_widths"].split(",")),
-        blocks_per_stage=cfgmod.get_int(side, "model.blocks_per_stage"),
-        attention=cfgmod.get_str(side, "model.attention"),
-        insertion=cfgmod.get_str(side, "model.insertion"),
-        reduction=cfgmod.get_int(side, "model.reduction"),
-        eca_gamma=cfgmod.get_int(side, "model.eca_gamma"),
-        spatial_kernel=cfgmod.get_int(side, "model.spatial_kernel"),
-    )
+    cfg = ModelConfig(**{f.name: _SIDECAR_GETTERS[type(f.default)](side, f"model.{f.name}")
+                         for f in fields(ModelConfig)})
     model = build_resnet18(cfg, seed=cfgmod.get_int(side, "model.seed"))
     model.load_state(load_checkpoint(path))
     return model
@@ -329,7 +314,8 @@ def run_protocol(cfg: dict | None, variants, trials: int,
     batch_size = cfgmod.get_int(resolved, "train.batch_size")
 
     baseline = "none" if "none" in variants else None
-    fresh_perturbed = resolved.get("protocol.perturbed_models", "reuse") == "fresh"
+    fresh_perturbed = cfgmod.get_str(resolved, "protocol.perturbed_models",
+                                     choices=("reuse", "fresh")) == "fresh"
     result = ProtocolResult(resolved={**resolved, "protocol.trials": str(trials)})
     for variant in variants:
         clean_accs, noisy_accs = [], []

@@ -35,6 +35,78 @@ def _uniform_init(rng: SplitMix64, shape, fan_in: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# module tree and checkpoint names
+
+
+class Module:
+    """A layer or a container of layers, named for checkpoints by one walk.
+
+    A leaf lists its trainable Tensor attributes in ``param_names`` and its
+    plain-array state in ``buffer_names``; a container yields its sub-modules
+    from ``children()`` as (name, module) pairs.  Attributes and children
+    that are None are skipped.  Checkpoint order is every parameter in walk
+    order, then every buffer in walk order.
+    """
+
+    param_names: tuple = ()
+    buffer_names: tuple = ()
+
+    def children(self):
+        return ()
+
+    def named_modules(self, name: str = ""):
+        """Yield (dotted name, module) for this module and its descendants."""
+        yield name, self
+        for child_name, child in self.children():
+            if child is not None:
+                yield from child.named_modules(f"{name}.{child_name}" if name else child_name)
+
+    def _slots(self, kind: str):
+        """(checkpoint name, owner, attribute) of every parameter or every buffer."""
+        return [(f"{name}.{attr}" if name else attr, module, attr)
+                for name, module in self.named_modules()
+                for attr in getattr(module, kind) if getattr(module, attr) is not None]
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        return [(name, getattr(owner, attr))
+                for name, owner, attr in self._slots("param_names")]
+
+    def named_state(self) -> list[tuple[str, np.ndarray]]:
+        """Trainable parameters, then buffers, in checkpoint order."""
+        return [(name, p.data) for name, p in self.named_params()] + \
+            [(name, getattr(owner, attr))
+             for name, owner, attr in self._slots("buffer_names")]
+
+    def load_state(self, tensors: dict[str, np.ndarray]):
+        slots = {name: (owner, attr) for kind in ("param_names", "buffer_names")
+                 for name, owner, attr in self._slots(kind)}
+        missing = sorted(set(slots) - set(tensors))
+        unknown = sorted(set(tensors) - set(slots))
+        if missing or unknown:
+            raise LayerError(
+                f"checkpoint/model mismatch: missing {missing}, unknown {unknown}")
+        for name, arr in tensors.items():
+            owner, attr = slots[name]
+            current = getattr(owner, attr)
+            if arr.shape != current.shape:
+                raise LayerError(
+                    f"shape mismatch for {name}: checkpoint {arr.shape}, "
+                    f"model {current.shape}")
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            if isinstance(current, Tensor):
+                current.data = arr  # keep the Tensor an optimizer may hold
+            else:
+                setattr(owner, attr, arr)
+
+    def num_params(self) -> int:
+        return sum(p.size for _, p in self.named_params())
+
+    def zero_grad(self):
+        for _, p in self.named_params():
+            p.grad = None
+
+
+# ---------------------------------------------------------------------------
 # conv2d
 
 
@@ -92,8 +164,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     return apply_op("conv2d", out, inputs, back)
 
 
-class Conv2d:
+class Conv2d(Module):
     """Conv layer holding (Cout, Cin, Kh, Kw) weights and an optional bias."""
+
+    param_names = ("weight", "bias")
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
                  padding=0, bias=True, rng: SplitMix64 | None = None):
@@ -107,12 +181,6 @@ class Conv2d:
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, self.stride, self.padding)
-
-    def params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +220,10 @@ def conv1d_same(z: Tensor, weight: Tensor) -> Tensor:
     return apply_op("conv1d", out, (z, weight), back)
 
 
-class Conv1d:
+class Conv1d(Module):
     """Kernel of shape (1, 1, k), k odd, zero-padded to preserve length."""
+
+    param_names = ("weight",)
 
     def __init__(self, kernel_size: int, rng: SplitMix64 | None = None):
         if kernel_size % 2 == 0:
@@ -163,9 +233,6 @@ class Conv1d:
 
     def forward(self, z: Tensor) -> Tensor:
         return conv1d_same(z, self.weight)
-
-    def params(self):
-        return [("weight", self.weight)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +319,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out + bias if bias is not None else out
 
 
-class Linear:
+class Linear(Module):
+    param_names = ("weight", "bias")
+
     def __init__(self, in_features, out_features, bias=True,
                  rng: SplitMix64 | None = None):
         rng = rng or SplitMix64(0)
@@ -262,24 +331,21 @@ class Linear:
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
-    def params(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # batchnorm
 
 
-class BatchNorm2d:
+class BatchNorm2d(Module):
     """Per-channel batch normalization with running statistics.
 
     Epsilon is added in the variance domain and defaults far below typical
     activation scales so normalized activations hit mean 0 / variance 1
     within 1e-6 on ordinary inputs; float64 keeps the tiny epsilon stable.
     """
+
+    param_names = ("gamma", "beta")
+    buffer_names = ("running_mean", "running_var")
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-12):
         self.channels = channels
@@ -315,12 +381,6 @@ class BatchNorm2d:
             xc = x - mean.reshape(1, c, 1, 1)
             return xc * inv.reshape(1, c, 1, 1) * gamma + beta
         raise LayerError(f"unknown batchnorm mode {mode!r}")
-
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
 
 # ---------------------------------------------------------------------------

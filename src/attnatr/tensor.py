@@ -10,10 +10,11 @@ loss in a per-pass buffer and then adds it into ``.grad``, so gradients
 accumulate additively across passes and across fan-out within a pass.
 Callers zero grads explicitly between optimizer steps.
 
-Tensors are not mutated by operations once produced and may be shared
-across threads; a tape (the node graph hanging off a result) is confined
-to the thread that built it.  Storage is always at least rank 1, so full
-reductions and losses have shape (1,).
+Tensors are not mutated by operations once produced.  Grad mode is one
+process-wide flag: ``no_grad`` switches tape recording off for every
+thread until it exits, so code that records a tape must not run alongside
+a ``no_grad`` block in another thread.  Storage is always at least rank 1,
+so full reductions and losses have shape (1,).
 """
 
 from __future__ import annotations

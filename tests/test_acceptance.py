@@ -120,7 +120,7 @@ def test_criterion_2_gradient_suite():
 
     cbam = CbamBlock(4, reduction=2, spatial_kernel=3, rng=SplitMix64(6))
     f = rt((1, 4, 6, 6))
-    cbam_params = [p for _, p in cbam.params()]
+    cbam_params = [p for _, p in cbam.named_params()]
     worst = max(worst, check_gradients(
         lambda: cbam.channel_attention(f)[1].sum(), cbam_params + [f], tol=1e-4))
     worst = max(worst, check_gradients(
@@ -138,7 +138,7 @@ def test_criterion_2_gradient_suite():
     model = build_resnet18(desk_config("cbam"), seed=7)
     xm = Tensor(np.random.default_rng(8).normal(size=(3, 1, 32, 32)),
                 requires_grad=True)
-    bns = model._named_batchnorms()
+    bns = [(n, m) for n, m in model.named_modules() if isinstance(m, BatchNorm2d)]
     saved = [(b.running_mean.copy(), b.running_var.copy()) for _, b in bns]
 
     def reset_model():
@@ -272,7 +272,7 @@ def test_criterion_5_zero_weight_closed_forms():
     eca = EcaBlock(6, gamma=2, rng=SplitMix64(17))
     cbam = CbamBlock(6, reduction=2, spatial_kernel=3, rng=SplitMix64(18))
     for block in (se, eca, cbam):
-        for _, p in block.params():
+        for _, p in block.named_params():
             p.data[:] = 0.0
 
     err_se = np.abs(se.forward(u).data - 0.5 * u.data).max()

@@ -214,7 +214,7 @@ def test_cbam_spatial_stats_match_pixel_loops():
 
 def test_cbam_zero_weights_quarters_input():
     block = make_cbam(seed=30)
-    for _, p in block.params():
+    for _, p in block.named_params():
         p.data[:] = 0.0
     f = randt((2, 4, 6, 6), seed=31)
     assert np.abs(block.forward(f).data - 0.25 * f.data).max() < 1e-12
@@ -231,8 +231,16 @@ def test_cbam_forward_is_channel_then_spatial():
 def test_cbam_full_parameter_gradients():
     block = make_cbam(seed=34)
     f = randt((1, 4, 6, 6), seed=35, requires_grad=True)
-    params = [p for _, p in block.params()]
+    params = [p for _, p in block.named_params()]
     check_gradients(lambda: block.forward(f).sum(), params + [f], tol=1e-4)
+
+
+def test_named_params_reach_every_sub_layer():
+    # SE: two bias-free FCs; ECA: one 1D kernel; CBAM: two FCs plus the spatial conv
+    for block, count in ((SeBlock(4, reduction=2), 2), (EcaBlock(4, gamma=2), 1),
+                         (CbamBlock(4, reduction=2, spatial_kernel=3), 3)):
+        names = [name for name, _ in block.named_params()]
+        assert names == [f"{i}.weight" for i in range(count)]
 
 
 def test_cbam_even_spatial_kernel_rejected():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from attnatr.attention import eca_kernel_size
 from attnatr.backbone import (BasicBlock, ConfigError, ModelConfig, build_resnet18,
                               desk_config)
 from attnatr.checkpoint import dump_tensors
-from attnatr.layers import LayerError, softmax
+from attnatr.layers import BatchNorm2d, LayerError, softmax
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor
 from helpers import check_gradients
@@ -96,6 +98,52 @@ def test_attention_params_use_indexed_names():
     assert "stage1.0.att.2.weight" in att_names
 
 
+# (num_params, sha256 of the newline-joined named_state() names, sha256 of
+# dump_tensors(named_state())) at seed 5, recorded while every name list was
+# still written out by hand; the walk must reproduce them exactly.
+PINNED_STATE = {
+    ("none", "desk"): (44479, "3f20245282729660918dcc1d64d85243892621d3eba1c162c73779990f5524cc",
+                       "bdf4a2b53417b98b8ed027699d27fdb9c3e34c73245dcda4696c5f7b56958f80"),
+    ("se", "desk"): (44847, "76297dab3606f02ea9f4d89fc16d8e454ce045962c27ce1d0e79652e214d226f",
+                     "262b051cba4e9324ab0161fcbd21a014f812c92b3e3b45588d91e3ab8e755a29"),
+    ("eca", "desk"): (44491, "66228343d1e80dd7844720bd39e471564120340f94561e912f54d358de6ecee3",
+                      "8be5a12821e8cdbb59a2e1d25567cea9e55d09765637494504b52496bdefe648"),
+    ("cbam", "desk"): (45631, "02af85bdedf9ef759852d2e7c3cf3302fabf4aeb766a203e515661f2d27b2f62",
+                       "580e9ba0680e08982e2b199e57d4bcc0c726e49616be865059d1a8a4cdafa231"),
+    ("cbam", "reduced"): (1699, "20415da8de67fceacffa0f80ce165670a629ef1c7b1ee5077282c396bf5ca823",
+                          "fa6ab139bebfe4c411c7fda7b309b430ec5469840aead32b1869885519b1aafd"),
+}
+REDUCED = {"stage_widths": (4, 8), "blocks_per_stage": 1}
+
+
+@pytest.mark.parametrize("insertion", ["in_block", "residual_wrap"])
+@pytest.mark.parametrize("attention, depth", sorted(PINNED_STATE))
+def test_checkpoint_names_and_bytes_are_pinned(attention, depth, insertion):
+    extra = REDUCED if depth == "reduced" else {}
+    model = build_resnet18(desk_config(attention, insertion=insertion, **extra), seed=5)
+    state = model.named_state()
+    names = "\n".join(name for name, _ in state).encode()
+    got = (model.num_params(), hashlib.sha256(names).hexdigest(),
+           hashlib.sha256(dump_tensors(state)).hexdigest())
+    assert got == PINNED_STATE[(attention, depth)]
+
+
+def test_reduced_config_checkpoint_name_order():
+    model = build_resnet18(desk_config("cbam", **REDUCED), seed=5)
+    block = ["conv1.weight", "bn1.gamma", "bn1.beta", "conv2.weight", "bn2.gamma", "bn2.beta"]
+    down = ["downsample.conv.weight", "downsample.bn.gamma", "downsample.bn.beta"]
+    att = ["att.0.weight", "att.1.weight", "att.2.weight"]
+    stats = ["running_mean", "running_var"]
+    want = (["stem.conv.weight", "stem.bn.gamma", "stem.bn.beta"]
+            + [f"stage1.0.{n}" for n in block + att]
+            + [f"stage2.0.{n}" for n in block + down + att]
+            + ["head.weight", "head.bias"]
+            + [f"stem.bn.{s}" for s in stats]
+            + [f"stage1.0.{bn}.{s}" for bn in ("bn1", "bn2") for s in stats]
+            + [f"stage2.0.{bn}.{s}" for bn in ("bn1", "bn2", "downsample.bn") for s in stats])
+    assert [name for name, _ in model.named_state()] == want
+
+
 # ---------------------------------------------------------------------------
 # basic block semantics
 
@@ -113,7 +161,7 @@ def test_attention_none_insertion_modes_agree():
 def test_residual_wrap_zero_weight_cbam_scales_output():
     cfg = desk_config("cbam", insertion="residual_wrap")
     block = BasicBlock(4, 4, 1, cfg, SplitMix64(7))
-    for _, p in block.att.params():
+    for _, p in block.att.named_params():
         p.data[:] = 0.0
     x = randx((2, 4, 8, 8), seed=8)
     got = block.forward(x, mode="eval").data
@@ -219,7 +267,7 @@ def test_end_to_end_gradients_reduced_config():
     model = build_resnet18(cfg, seed=29)
     x = Tensor(np.random.default_rng(30).normal(size=(2, 1, 32, 32)),
                requires_grad=True)
-    bns = model._named_batchnorms()
+    bns = [(n, m) for n, m in model.named_modules() if isinstance(m, BatchNorm2d)]
     saved = [(bn.running_mean.copy(), bn.running_var.copy()) for _, bn in bns]
 
     def reset():

@@ -72,11 +72,6 @@ def test_train_eval_gradcam_pipeline(tmp_path, small_cfg, capsys):
     assert "Test 1" in out and "Test 3" in out and "Average" in out
     assert "perturbation" in out
 
-    status = run_command(["perturb-eval", "--model", str(ckpt),
-                          "--data", str(data_dir), "--trials", "2"])
-    assert status == 0
-    assert "perturbation" in capsys.readouterr().out
-
     image = next((data_dir / "disk").glob("*.pgm"))
     cam = tmp_path / "cam.ppm"
     status = run_command(["gradcam", "--model", str(ckpt), "--image", str(image),
@@ -97,6 +92,25 @@ def test_eval_writes_report_file(tmp_path, small_cfg, capsys):
     assert run_command(["eval", "--model", str(ckpt), "--data", str(data_dir),
                         "--out", str(report)]) == 0
     assert "Average" in report.read_text()
+
+
+def test_eval_rejects_config_flag(tmp_path, small_cfg, capsys):
+    status = run_command(["eval", "--config", small_cfg, "--model", str(tmp_path / "m.ckpt"),
+                          "--data", str(tmp_path)])
+    assert status == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_eval_sidecar_missing_key_is_runtime_error(tmp_path, small_cfg, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
+    sidecar = tmp_path / "m.ckpt.cfg"
+    sidecar.write_text("".join(line for line in sidecar.read_text().splitlines(True)
+                               if not line.startswith("model.stage_widths")))
+    capsys.readouterr()
+    status = run_command(["eval", "--model", str(ckpt), "--data", str(tmp_path)])
+    assert status == 2
+    assert "model.stage_widths" in capsys.readouterr().err
 
 
 def test_train_protocol_mode(tmp_path, small_cfg, capsys):

@@ -244,6 +244,20 @@ def test_write_and_load_synth_dir(tmp_path):
     assert worst <= 0.5 / 255.0
 
 
+@pytest.mark.parametrize("row", [0, 2])
+def test_manifest_rejects_negative_class_id(tmp_path, row):
+    write_synth_dir(SynthConfig(num_classes=3, per_class_test=2, seed=13),
+                    tmp_path / "d", split="test")
+    manifest = tmp_path / "d" / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    fields = lines[row].split("\t")
+    fields[1] = "-1"
+    lines[row] = "\t".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"line {row + 1}: negative class id"):
+        load_dataset(tmp_path / "d")
+
+
 def test_load_class_tree_with_phoenix(tmp_path):
     from attnatr.data import write_phoenix
     root = tmp_path / "mstar"

@@ -238,6 +238,11 @@ def test_protocol_needs_a_trial():
         run_protocol(fast_cfg(), ["none"], trials=0)
 
 
+def test_protocol_rejects_unknown_perturbed_models():
+    with pytest.raises(cfgmod.ConfigFileError, match="protocol.perturbed_models"):
+        run_protocol(fast_cfg(**{"protocol.perturbed_models": "frsh"}), ["none"], trials=1)
+
+
 def test_train_model_skips_degenerate_tail_batch():
     # 11 samples with batch 4 leaves a 3-sample tail, all usable; batch 10
     # leaves a single sample which batchnorm cannot take
