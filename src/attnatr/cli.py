@@ -122,11 +122,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    for flag, value in (("--trials", args.trials), ("--batch-size", args.batch_size)):
+        if value < 1:
+            raise UsageError(f"eval: {flag} must be at least 1, got {value}")
     sigma = args.perturb_std
     model = load_model(args.model)
     dataset = load_dataset(args.data, split=args.split, size=model.cfg.input_size)
     accs = []
-    for trial in range(max(1, args.trials)):
+    for trial in range(args.trials):
         ds = dataset
         if sigma > 0:
             spec = PerturbSpec(scale=sigma, seed=derive_seed(args.seed, "eval", trial))

@@ -352,7 +352,12 @@ def _load_manifest_dir(root: Path, size: int | None) -> Dataset:
         parts = line.split("\t")
         if len(parts) != 4:
             raise DatasetError(f"malformed manifest line: {line!r}")
-        index, class_id = int(parts[0]), int(parts[1])
+        try:
+            index, class_id = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetError(
+                f"manifest.tsv line {lineno}: non-integer index or class id in {line!r}"
+            ) from None
         if class_id < 0:
             raise DatasetError(f"manifest line {lineno}: negative class id in {line!r}")
         entries.append((index, class_id, parts[2]))

@@ -86,6 +86,8 @@ def top1_accuracy(model: ResNet, dataset: Dataset, batch_size: int = 32) -> floa
     """
     if len(dataset) == 0:
         raise HarnessError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise HarnessError(f"batch size must be at least 1, got {batch_size}")
     hits = 0
     with no_grad():
         for start in range(0, len(dataset), batch_size):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import SplitMix64
-from .tensor import Tensor, apply_op, as_tensor
+from .tensor import Tensor, _unbroadcast, apply_op, as_tensor
 
 
 class LayerError(ValueError):
@@ -110,6 +110,16 @@ class Module:
 # conv2d
 
 
+def _pad(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
+    """Pad (N, C, H, W) spatially with ``fill``; ``a`` itself when ph = pw = 0."""
+    if not ph and not pw:
+        return a
+    n, c, h, w = a.shape
+    out = np.full((n, c, h + 2 * ph, w + 2 * pw), fill)
+    out[:, :, ph:ph + h, pw:pw + w] = a
+    return out
+
+
 def _im2col(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
     """(N, C, Hp, Wp) -> (N, oh*ow, C*kh*kw) patch matrix."""
     n, c = xp.shape[:2]
@@ -139,7 +149,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             f"conv2d output degenerate: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {sh}x{sw}, padding {ph}x{pw} gives {oh}x{ow}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = _pad(x.data, ph, pw)
     cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
     wmat = weight.data.reshape(cout, cin * kh * kw)
     out = cols @ wmat.T  # (N, oh*ow, Cout)
@@ -263,8 +273,7 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
 
-    fill = -np.inf if kind == "max" else 0.0
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    xp = _pad(x.data, ph, pw, -np.inf if kind == "max" else 0.0)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::sh, ::sw].reshape(n, c, oh, ow, kh * kw)
 
@@ -301,12 +310,37 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
 
 
 def global_pool(kind: str, x: Tensor) -> Tensor:
-    """Pool every spatial position into (N, C, 1, 1)."""
+    """Pool every spatial position into (N, C, 1, 1).
+
+    Bitwise equal to ``pool2d`` with one window covering the whole map.
+    """
+    if kind not in ("max", "avg"):
+        raise LayerError(f"unknown pooling kind {kind!r}")
     x = as_tensor(x)
     if x.ndim != 4:
         raise LayerError(f"global_pool expects NCHW input, got shape {x.shape}")
-    h, w = x.shape[2], x.shape[3]
-    return pool2d(kind, x, window=(h, w), stride=(h, w))
+    n, c, h, w = x.shape
+    flat = x.data.reshape(n, c, 1, 1, h * w)
+
+    if kind == "max":
+        arg = np.argmax(flat, axis=-1)
+        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+
+        def back(g):
+            gx = np.zeros((n * c, h * w))
+            gx[np.arange(n * c), arg.reshape(-1)] += g.reshape(-1)
+            return (gx.reshape(n, c, h, w),)
+
+        return apply_op("maxpool2d", out, (x,), back)
+
+    scale = 1.0 / (h * w)
+
+    def back_avg(g):
+        gx = np.zeros((n, c, h, w))
+        gx += g * scale
+        return (gx,)
+
+    return apply_op("avgpool2d", flat.mean(axis=-1), (x,), back_avg)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +376,11 @@ class BatchNorm2d(Module):
     Epsilon is added in the variance domain and defaults far below typical
     activation scales so normalized activations hit mean 0 / variance 1
     within 1e-6 on ordinary inputs; float64 keeps the tiny epsilon stable.
+
+    Each forward is one ``batchnorm`` tape node over (x, gamma, beta) whose
+    backward replays, op for op, the arithmetic of the same layer composed
+    from primitive tensor ops, so the bytes match that primitive graph (the
+    closed-form gradient would round differently).
     """
 
     param_names = ("gamma", "beta")
@@ -361,26 +400,43 @@ class BatchNorm2d(Module):
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise LayerError(
                 f"batchnorm expects (N, {self.channels}, H, W), got {x.shape}")
-        c = self.channels
-        gamma = self.gamma.reshape(1, c, 1, 1)
-        beta = self.beta.reshape(1, c, 1, 1)
+        if mode not in ("train", "eval"):
+            raise LayerError(f"unknown batchnorm mode {mode!r}")
+        c, xd = self.channels, x.data
+        stat = (1, c, 1, 1)
+        gamma = self.gamma.data.reshape(stat)
         if mode == "train":
             if x.shape[0] < 2:
                 raise LayerError("batchnorm training mode requires batch size >= 2")
-            mu = x.mean(axes=(0, 2, 3), keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axes=(0, 2, 3), keepdims=True)
-            inv = (var + self.eps) ** -0.5
+            mu = xd.mean(axis=(0, 2, 3), keepdims=True)
+            centered = xd - mu
+            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+            shifted = var + self.eps
+            inv = shifted ** -0.5
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mu.data.reshape(c)
-            self.running_var = (1 - m) * self.running_var + m * var.data.reshape(c)
-            return centered * inv * gamma + beta
-        if mode == "eval":
-            inv = Tensor((self.running_var + self.eps) ** -0.5)
-            mean = Tensor(self.running_mean)
-            xc = x - mean.reshape(1, c, 1, 1)
-            return xc * inv.reshape(1, c, 1, 1) * gamma + beta
-        raise LayerError(f"unknown batchnorm mode {mode!r}")
+            self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
+            self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
+        else:
+            centered = xd - self.running_mean.reshape(stat)
+            inv = ((self.running_var + self.eps) ** -0.5).reshape(stat)
+        normed = centered * inv
+        count = float(xd.size // c)
+
+        def back(g):
+            g_normed = g * gamma
+            gx = g_normed * inv
+            if mode == "train":
+                # The primitive graph's order: _unbroadcast sums axis 0, then
+                # 2, then 3, and the three terms of d(centered) add left to right.
+                g_var = (_unbroadcast(g_normed * centered, stat) * -0.5) * shifted ** -1.5
+                g_sq = g_var / count
+                gx = (gx + g_sq * centered) + g_sq * centered
+                gx = gx + _unbroadcast(-gx, stat) / count
+            return (gx, _unbroadcast(g * normed, stat).reshape(c),
+                    _unbroadcast(g, stat).reshape(c))
+
+        out = normed * gamma + self.beta.data.reshape(stat)
+        return apply_op("batchnorm", out, (x, self.gamma, self.beta), back)
 
 
 # ---------------------------------------------------------------------------

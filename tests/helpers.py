@@ -1,13 +1,15 @@
 """Shared test oracles: finite differences and naive loop references.
 
 These stay independent of the library code paths they check: the convolution
-and pooling oracles are direct nested loops, and the gradient oracle is a
-central finite difference over the raw parameter arrays.
+and pooling oracles are direct nested loops, the gradient oracle is a
+central finite difference over the raw parameter arrays, and the batchnorm
+oracle builds the layer from primitive tensor ops.
 """
 
 import numpy as np
 
-from attnatr.tensor import no_grad
+from attnatr.layers import LayerError
+from attnatr.tensor import Tensor, as_tensor, no_grad
 
 
 def rel_error(analytic, numeric, floor=1e-8) -> float:
@@ -129,3 +131,35 @@ def pool2d_naive(kind, x, window, stride, padding=(0, 0)):
                     win = xp[ni, ci, oi * sh:oi * sh + kh, oj * sw:oj * sw + kw]
                     out[ni, ci, oi, oj] = win.max() if kind == "max" else win.mean()
     return out
+
+
+def batchnorm_reference(bn, x, mode: str = "train"):
+    """``bn``'s forward composed from primitive tape ops (11 nodes in train mode).
+
+    Updates ``bn``'s running statistics exactly as the layer does; the fused
+    layer must match its output, gradients and statistics bit for bit.
+    """
+    x = as_tensor(x)
+    if x.ndim != 4 or x.shape[1] != bn.channels:
+        raise LayerError(
+            f"batchnorm expects (N, {bn.channels}, H, W), got {x.shape}")
+    c = bn.channels
+    gamma = bn.gamma.reshape(1, c, 1, 1)
+    beta = bn.beta.reshape(1, c, 1, 1)
+    if mode == "train":
+        if x.shape[0] < 2:
+            raise LayerError("batchnorm training mode requires batch size >= 2")
+        mu = x.mean(axes=(0, 2, 3), keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axes=(0, 2, 3), keepdims=True)
+        inv = (var + bn.eps) ** -0.5
+        m = bn.momentum
+        bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.reshape(c)
+        bn.running_var = (1 - m) * bn.running_var + m * var.data.reshape(c)
+        return centered * inv * gamma + beta
+    if mode == "eval":
+        inv = Tensor((bn.running_var + bn.eps) ** -0.5)
+        mean = Tensor(bn.running_mean)
+        xc = x - mean.reshape(1, c, 1, 1)
+        return xc * inv.reshape(1, c, 1, 1) * gamma + beta
+    raise LayerError(f"unknown batchnorm mode {mode!r}")

@@ -101,6 +101,21 @@ def test_eval_rejects_config_flag(tmp_path, small_cfg, capsys):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-2"),
+                                         ("--batch-size", "0")])
+def test_eval_rejects_count_below_one(tmp_path, small_cfg, capsys, flag, value):
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
+    data_dir = tmp_path / "d"
+    assert run_command(["synth-gen", "--out", str(data_dir), "--classes", "3",
+                        "--per-class", "2"]) == 0
+    capsys.readouterr()
+    status = run_command(["eval", "--model", str(ckpt), "--data", str(data_dir),
+                          flag, value])
+    assert status == 1
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_eval_sidecar_missing_key_is_runtime_error(tmp_path, small_cfg, capsys):
     ckpt = tmp_path / "m.ckpt"
     assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0

@@ -258,6 +258,20 @@ def test_manifest_rejects_negative_class_id(tmp_path, row):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("row, field", [(0, 1), (2, 0)])
+def test_manifest_rejects_non_integer_field(tmp_path, row, field):
+    write_synth_dir(SynthConfig(num_classes=3, per_class_test=2, seed=13),
+                    tmp_path / "d", split="test")
+    manifest = tmp_path / "d" / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    fields = lines[row].split("\t")
+    fields[field] = "x"
+    lines[row] = "\t".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"manifest.tsv line {row + 1}: non-integer"):
+        load_dataset(tmp_path / "d")
+
+
 def test_load_class_tree_with_phoenix(tmp_path):
     from attnatr.data import write_phoenix
     root = tmp_path / "mstar"

@@ -118,6 +118,12 @@ def test_accuracy_empty_dataset_error():
         top1_accuracy(ConstantModel(3, 8), Dataset([], ["a"], "test"))
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_accuracy_batch_size_below_one_error(batch_size):
+    with pytest.raises(HarnessError, match=f"batch size must be at least 1, got {batch_size}"):
+        top1_accuracy(ConstantModel(3, 8), gray_dataset([0, 1, 2]), batch_size)
+
+
 # ---------------------------------------------------------------------------
 # report formatting
 

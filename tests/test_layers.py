@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from attnatr.backbone import build_resnet18, desk_config
 from attnatr.checkpoint import (CheckpointError, dump_tensors, load_checkpoint,
                                 parse_tensors, save_checkpoint)
 from attnatr.layers import (BatchNorm2d, Conv1d, Conv2d, LayerError, Linear,
@@ -8,11 +11,17 @@ from attnatr.layers import (BatchNorm2d, Conv1d, Conv2d, LayerError, Linear,
                             linear, pool2d, softmax_cross_entropy)
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor
-from helpers import check_gradients, conv2d_naive, pool2d_naive
+from helpers import batchnorm_reference, check_gradients, conv2d_naive, pool2d_naive
 
 
 def randn(shape, seed=0, scale=1.0):
     return np.random.default_rng(seed).normal(size=shape) * scale
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: unlike ==, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +213,27 @@ def test_global_pool_equals_reduce(kind):
     assert np.array_equal(pooled, reduced)
 
 
+@pytest.mark.parametrize("kind", ["max", "avg"])
+@pytest.mark.parametrize("shape", [(2, 5, 4, 6), (3, 4, 1, 1)])
+def test_global_pool_matches_full_window_pool2d_bitwise(kind, shape):
+    xd = randn(shape, seed=26)
+    xd[1, 2] = 0.75  # a tie over the whole map: the gradient goes to the first
+    upstream = randn(shape[:2] + (1, 1), seed=27)
+    upstream[0, 1] = -0.0
+    window = shape[2:]
+    results = []
+    for pool in (lambda x: global_pool(kind, x), lambda x: pool2d(kind, x, window, window)):
+        x = Tensor(xd, requires_grad=True)
+        out = pool(x)
+        (out * Tensor(upstream)).sum().backward()
+        results.append((out.data, x.grad))
+    (out, grad), (want_out, want_grad) = results
+    assert same_bits(out, want_out) and same_bits(grad, want_grad)
+    if kind == "max":
+        tied = grad[1, 2].reshape(-1)
+        assert tied[0] == upstream[1, 2, 0, 0] and not tied[1:].any()
+
+
 # ---------------------------------------------------------------------------
 # linear
 
@@ -299,6 +329,54 @@ def test_batchnorm_gradients():
 
     check_gradients(lambda: (bn.forward(x, "train") * x).sum(),
                     [x, bn.gamma, bn.beta], tol=1e-4, reset=reset)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 1, 1), (32, 4, 16, 16), (8, 64, 8, 8)])
+def test_batchnorm_matches_primitive_graph_bitwise(shape):
+    c = shape[1]
+    xd = randn(shape, seed=28, scale=3.0) + 1.0
+    upstream = randn(shape, seed=29)
+    gamma, beta = randn(c, seed=30), randn(c, seed=31)
+    results = []
+    for forward in (BatchNorm2d.forward, batchnorm_reference):
+        bn = BatchNorm2d(c)
+        bn.gamma.data, bn.beta.data = gamma.copy(), beta.copy()
+        got = []
+        # eval mode records a tape too: Grad-CAM differentiates through it
+        for mode in ("train", "eval"):
+            x = Tensor(xd, requires_grad=True)
+            bn.zero_grad()
+            out = forward(bn, x, mode)
+            (out * Tensor(upstream)).sum().backward()
+            got += [out.data, x.grad, bn.gamma.grad, bn.beta.grad,
+                    bn.running_mean, bn.running_var]
+        results.append(got)
+    for fused, reference in zip(*results):
+        assert same_bits(fused, reference)
+
+
+def tape_ops(loss) -> Counter:
+    """Op name of every node reachable from ``loss``."""
+    ops, seen, stack = Counter(), set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t.node is None:
+            continue
+        seen.add(id(t))
+        ops[t.node.op] += 1
+        stack.extend(t.node.inputs)
+    return ops
+
+
+@pytest.mark.parametrize("attention, nodes", [("none", 72), ("cbam", 264)])
+def test_desk_training_step_tape_size(attention, nodes):
+    model = build_resnet18(desk_config(attention), seed=32)
+    x = Tensor(randn((4, 1, 32, 32), seed=33))
+    ops = tape_ops(softmax_cross_entropy(model.forward(x, mode="train"), [0, 1, 2, 0]))
+    assert sum(ops.values()) == nodes
+    assert ops["batchnorm"] == 20
+    if attention == "none":
+        assert not (ops["pow"] or ops["sub"] or ops["mean"])
 
 
 # ---------------------------------------------------------------------------
