@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from .attention import ATTENTION_KINDS, make_attention
 from .layers import BatchNorm2d, Conv2d, LayerError, Linear, Module, global_pool, pool2d
 from .rng import SplitMix64
-from .tensor import Tensor, relu
+from .tensor import Tensor, no_grad, relu
 
 INSERTION_MODES = ("in_block", "residual_wrap")
 
@@ -147,36 +147,52 @@ class ResNet(Module):
 
     # -- forward --------------------------------------------------------
 
-    def forward(self, x: Tensor, mode: str = "eval", capture: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
+        return self._head(_run(self._steps(), self._checked(x), mode))
+
+    def feature_layers(self) -> list[str]:
+        """Names usable as Grad-CAM capture points, shallow to deep."""
+        return [name for name, _ in self._steps()]
+
+    def forward_capture(self, x: Tensor, layer_name: str):
+        """Eval-mode forward returning (logits, captured feature tensor).
+
+        Everything up to and including ``layer_name`` runs without a tape;
+        the captured map is a fresh leaf, so ``backward()`` from the logits
+        stops there and fills only its ``.grad`` and those of the parameters
+        after it.  Parameters before the capture point receive no gradient.
+        """
+        steps = self._steps()
+        names = [name for name, _ in steps]
+        if layer_name not in names:
+            raise LayerError(f"unknown layer {layer_name!r}; choose from {names}")
+        cut = names.index(layer_name) + 1
+        x = self._checked(x)
+        with no_grad():
+            h = _run(steps[:cut], x, "eval")
+        acts = Tensor(h.data, requires_grad=True)
+        return self._head(_run(steps[cut:], acts, "eval")), acts
+
+    def _checked(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != self.cfg.in_channels \
                 or x.shape[2] != self.cfg.input_size or x.shape[3] != self.cfg.input_size:
             raise LayerError(
                 f"model expects (N, {self.cfg.in_channels}, {self.cfg.input_size}, "
                 f"{self.cfg.input_size}) input, got {x.shape}")
+        return x
+
+    def _stem(self, x: Tensor, mode: str) -> Tensor:
         h = relu(self.stem_bn.forward(self.stem_conv.forward(x), mode))
-        h = pool2d("max", h, window=3, stride=2, padding=1)
-        if capture is not None and "stem" in capture:
-            capture["stem"] = h
-        for name, block in self._named_blocks():
-            h = block.forward(h, mode)
-            if capture is not None and name in capture:
-                capture[name] = h
-        n = h.shape[0]
-        pooled = global_pool("avg", h).reshape(n, h.shape[1])
+        return pool2d("max", h, window=3, stride=2, padding=1)
+
+    def _head(self, h: Tensor) -> Tensor:
+        pooled = global_pool("avg", h).reshape(h.shape[0], h.shape[1])
         return self.head.forward(pooled)
 
-    def feature_layers(self) -> list[str]:
-        """Names usable as Grad-CAM capture points, shallow to deep."""
-        return ["stem"] + [name for name, _ in self._named_blocks()]
-
-    def forward_capture(self, x: Tensor, layer_name: str):
-        """Eval-mode forward returning (logits, captured feature tensor)."""
-        if layer_name not in self.feature_layers():
-            raise LayerError(
-                f"unknown layer {layer_name!r}; choose from {self.feature_layers()}")
-        capture = {layer_name: None}
-        logits = self.forward(x, mode="eval", capture=capture)
-        return logits, capture[layer_name]
+    def _steps(self):
+        """(name, forward) for the stem, then each block in order."""
+        return [("stem", self._stem),
+                *((name, block.forward) for name, block in self._named_blocks())]
 
     # -- checkpoint names -------------------------------------------------
 
@@ -187,6 +203,12 @@ class ResNet(Module):
     def children(self):
         return [("stem.conv", self.stem_conv), ("stem.bn", self.stem_bn),
                 *self._named_blocks(), ("head", self.head)]
+
+
+def _run(steps, h: Tensor, mode: str) -> Tensor:
+    for _, step in steps:
+        h = step(h, mode)
+    return h
 
 
 def build_resnet18(cfg: ModelConfig, seed: int) -> ResNet:

@@ -17,7 +17,8 @@ from .data import (SynthConfig, center_crop_or_pad, load_dataset, read_pgm,
 from .explain import gradcam_map, overlay_heatmap
 from .harness import (PerturbSpec, TrialReport, format_report, load_model,
                       model_config_from, perturb_dataset, run_protocol,
-                      save_model, synth_config_from, top1_accuracy, train_model)
+                      save_model, synth_config_from, top1_accuracy, train_model,
+                      train_settings_from)
 from .rng import derive_seed
 
 
@@ -100,23 +101,19 @@ def _cmd_train(args) -> int:
         return 0
     if not args.out:
         raise UsageError("train: --out CHECKPOINT is required for a single-model run")
+    settings = train_settings_from(resolved)
     seed = cfgmod.get_int(resolved, "seed")
     model = build_resnet18(model_config_from(resolved), seed=seed)
     synth_cfg = synth_config_from(resolved)
     train_ds = synth_dataset(synth_cfg, "train")
     test_ds = synth_dataset(synth_cfg, "test")
-    losses = train_model(model, train_ds,
-                         cfgmod.get_int(resolved, "train.epochs"),
-                         cfgmod.get_float(resolved, "train.lr"),
-                         cfgmod.get_float(resolved, "train.momentum"),
-                         cfgmod.get_int(resolved, "train.batch_size"), seed,
+    losses = train_model(model, train_ds, *settings, seed,
                          context=f"attention {resolved['model.attention']!r}")
     save_model(args.out, model)
     train_acc = top1_accuracy(model, train_ds)
     test_acc = top1_accuracy(model, test_ds)
-    final = losses[-1] if losses else float("nan")
     sys.stdout.write(
-        f"saved {args.out}: final loss {final:.4f}, "
+        f"saved {args.out}: final loss {losses[-1]:.4f}, "
         f"train acc {train_acc:.4f}, test acc {test_acc:.4f}\n")
     return 0
 

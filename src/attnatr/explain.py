@@ -59,8 +59,10 @@ def gradcam_map(model, image, target_class: int, layer_name: str | None = None) 
     """Grad-CAM saliency of ``target_class`` at ``layer_name`` for one image.
 
     The model must expose ``forward_capture(x, layer) -> (logits, activation)``
-    running in eval mode with gradients recorded.  ``layer_name`` defaults to
-    the deepest feature layer.
+    running in eval mode with a tape from the activation to the logits.  The
+    activation is a leaf and only its gradient is read: parameters after the
+    capture point still receive ``.grad``, parameters before it do not.
+    ``layer_name`` defaults to the deepest feature layer.
     """
     if layer_name is None:
         layer_name = model.feature_layers()[-1]

@@ -225,6 +225,23 @@ def synth_config_from(cfg: dict) -> SynthConfig:
     )
 
 
+def train_settings_from(cfg: dict) -> tuple:
+    """(epochs, lr, momentum, batch_size) from the ``train.*`` keys.
+
+    Batches need two samples for batchnorm and a run needs one epoch, so
+    smaller values are rejected here, before any data is built.
+    """
+    epochs = cfgmod.get_int(cfg, "train.epochs")
+    batch_size = cfgmod.get_int(cfg, "train.batch_size")
+    for key, value, least in (("train.epochs", epochs, 1),
+                              ("train.batch_size", batch_size, 2)):
+        if value < least:
+            raise cfgmod.ConfigFileError(
+                f"config key {key!r}: must be at least {least}, got {value}")
+    return (epochs, cfgmod.get_float(cfg, "train.lr"),
+            cfgmod.get_float(cfg, "train.momentum"), batch_size)
+
+
 def perturb_spec_from(cfg: dict) -> PerturbSpec:
     return PerturbSpec(
         mean=cfgmod.get_float(cfg, "perturb.mean"),
@@ -305,15 +322,12 @@ def run_protocol(cfg: dict | None, variants, trials: int,
     if trials < 1:
         raise HarnessError(f"need at least one trial, got {trials}")
     resolved = cfgmod.resolve(cfg)
+    epochs, lr, momentum, batch_size = train_settings_from(resolved)
     base_seed = cfgmod.get_int(resolved, "seed")
     synth_cfg = synth_config_from(resolved)
     train_ds = synth_dataset(synth_cfg, "train")
     test_ds = synth_dataset(synth_cfg, "test")
     spec = perturb_spec_from(resolved)
-    epochs = cfgmod.get_int(resolved, "train.epochs")
-    lr = cfgmod.get_float(resolved, "train.lr")
-    momentum = cfgmod.get_float(resolved, "train.momentum")
-    batch_size = cfgmod.get_int(resolved, "train.batch_size")
 
     baseline = "none" if "none" in variants else None
     fresh_perturbed = cfgmod.get_str(resolved, "protocol.perturbed_models",

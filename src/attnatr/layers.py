@@ -274,14 +274,13 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
     ow = (w + 2 * pw - kw) // sw + 1
 
     xp = _pad(x.data, ph, pw, -np.inf if kind == "max" else 0.0)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw].reshape(n, c, oh, ow, kh * kw)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
 
     if kind == "max":
-        arg = np.argmax(win, axis=-1)
-        out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+        out = _window_max(win)
 
         def back(g):
+            arg = np.argmax(win.reshape(n, c, oh, ow, kh * kw), axis=-1)
             gxp = np.zeros_like(xp)
             ki, kj = np.divmod(arg, kw)
             oi = np.arange(oh)[:, None] * sh
@@ -295,7 +294,7 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
 
         return apply_op("maxpool2d", out, (x,), back)
 
-    out = win.mean(axis=-1)
+    out = win.reshape(n, c, oh, ow, kh * kw).mean(axis=-1)
     scale = 1.0 / (kh * kw)
 
     def back_avg(g):
@@ -307,6 +306,27 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
         return (gxp[:, :, ph:ph + h, pw:pw + w],)
 
     return apply_op("avgpool2d", out, (x,), back_avg)
+
+
+def _window_max(win: np.ndarray) -> np.ndarray:
+    """Max of each window of an (N, C, oh, ow, kh, kw) view, taken tap by tap.
+
+    The value is that of the window's first maximal element, as the backward
+    pass routes it.  A nonzero, non-NaN maximum has one bit pattern however
+    it is found; windows whose maximum is a signed zero or NaN are resolved
+    through ``np.argmax``, because ``np.maximum`` may pick either zero.
+    """
+    kh, kw = win.shape[-2:]
+    out = win[..., 0, 0].copy()
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                np.maximum(out, win[..., i, j], out=out)
+    tie = (out == 0.0) | np.isnan(out)
+    if tie.any():
+        cand = win[tie].reshape(-1, kh * kw)
+        out[tie] = cand[np.arange(len(cand)), np.argmax(cand, axis=-1)]
+    return out
 
 
 def global_pool(kind: str, x: Tensor) -> Tensor:

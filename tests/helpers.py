@@ -2,14 +2,16 @@
 
 These stay independent of the library code paths they check: the convolution
 and pooling oracles are direct nested loops, the gradient oracle is a
-central finite difference over the raw parameter arrays, and the batchnorm
-oracle builds the layer from primitive tensor ops.
+central finite difference over the raw parameter arrays, the batchnorm
+oracle builds the layer from primitive tensor ops, and the Grad-CAM oracle
+records a tape through the whole network.
 """
 
 import numpy as np
 
-from attnatr.layers import LayerError
-from attnatr.tensor import Tensor, as_tensor, no_grad
+from attnatr.explain import bilinear_resize
+from attnatr.layers import LayerError, global_pool, pool2d
+from attnatr.tensor import Tensor, as_tensor, no_grad, relu
 
 
 def rel_error(analytic, numeric, floor=1e-8) -> float:
@@ -133,6 +135,32 @@ def pool2d_naive(kind, x, window, stride, padding=(0, 0)):
     return out
 
 
+def max_pool_first_naive(x, window, stride, padding=(0, 0)):
+    """Max pooling that keeps each window's first maximal element.
+
+    Scans each window in row-major order and counts NaN as maximal, the
+    element ``np.argmax`` picks and the backward pass routes the gradient to,
+    so signed zeros and NaNs keep their bits.
+    """
+    n, c, h, w = x.shape
+    kh, kw = window
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    out = np.zeros((n, c, oh, ow))
+    for ni, ci, oi, oj in np.ndindex(n, c, oh, ow):
+        best = None
+        for i in range(kh):
+            for j in range(kw):
+                v = xp[ni, ci, oi * sh + i, oj * sw + j]
+                if best is None or v > best or (np.isnan(v) and not np.isnan(best)):
+                    best = v
+        out[ni, ci, oi, oj] = best
+    return out
+
+
 def batchnorm_reference(bn, x, mode: str = "train"):
     """``bn``'s forward composed from primitive tape ops (11 nodes in train mode).
 
@@ -163,3 +191,36 @@ def batchnorm_reference(bn, x, mode: str = "train"):
         xc = x - mean.reshape(1, c, 1, 1)
         return xc * inv.reshape(1, c, 1, 1) * gamma + beta
     raise LayerError(f"unknown batchnorm mode {mode!r}")
+
+
+def gradcam_reference(model, image, cls, layer):
+    """Grad-CAM values of ``model`` with a tape through the whole network.
+
+    Rebuilds the eval forward from the model's public layers, captures
+    ``layer`` mid-forward and backpropagates the ``cls`` logit through every
+    layer into every parameter; the library's cut tape must match the
+    returned (H, W) map bit for bit.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    x = Tensor(image.reshape(1, 1, *image.shape[-2:]))
+    h = relu(model.stem_bn.forward(model.stem_conv.forward(x), "eval"))
+    h = pool2d("max", h, window=3, stride=2, padding=1)
+    captured = {"stem": h}
+    for name, block in model._named_blocks():
+        h = block.forward(h, "eval")
+        captured[name] = h
+    logits = model.head.forward(global_pool("avg", h).reshape(1, h.shape[1]))
+    onehot = np.zeros(logits.shape)
+    onehot[0, cls] = 1.0
+    (logits * Tensor(onehot)).sum().backward()
+
+    acts = captured[layer]
+    alpha = acts.grad[0].mean(axis=(1, 2))
+    raw = np.maximum((alpha[:, None, None] * acts.data[0]).sum(axis=0), 0.0)
+    up = np.maximum(bilinear_resize(raw, x.shape[2], x.shape[3]), 0.0)
+    lo, hi = up.min(), up.max()
+    if hi == 0.0:
+        return np.zeros_like(up)
+    if hi == lo:
+        return np.ones_like(up)
+    return (up - lo) / (hi - lo)

@@ -139,6 +139,25 @@ def test_train_protocol_mode(tmp_path, small_cfg, capsys):
     assert "none" in text and "eca" in text
 
 
+@pytest.mark.parametrize("mode", [["--out", "m.ckpt"], ["--variants", "none", "--trials", "1"]])
+@pytest.mark.parametrize("key, value", [("train.batch_size", 0), ("train.batch_size", 1),
+                                        ("train.epochs", 0), ("train.epochs", -1)])
+def test_train_rejects_bad_train_settings(tmp_path, small_cfg, capsys, monkeypatch,
+                                          mode, key, value):
+    def no_data(*args):
+        raise AssertionError("data synthesized before the train settings were checked")
+
+    monkeypatch.setattr("attnatr.cli.synth_dataset", no_data)
+    monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
+    with open(small_cfg, "a") as fh:
+        fh.write(f"{key} = {value}\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["train", "--config", small_cfg, *mode]) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}': must be at least" in err and f"got {value}" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
 def test_gradcam_bad_class_is_runtime_error(tmp_path, small_cfg, capsys):
     ckpt = tmp_path / "m.ckpt"
     assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0

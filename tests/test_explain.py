@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from attnatr.backbone import build_resnet18, desk_config
+from attnatr.attention import ATTENTION_KINDS
+from attnatr.backbone import INSERTION_MODES, ModelConfig, build_resnet18, desk_config
 from attnatr.explain import (ExplainError, SaliencyMap, bilinear_resize,
                              gradcam_map, heat_colormap, overlay_heatmap)
 from attnatr.layers import conv2d, global_pool
 from attnatr.tensor import Tensor, relu
+from helpers import gradcam_reference
 
 
 class StubConvModel:
@@ -120,6 +122,53 @@ def _raw_map(model, image, target_class, layer_name):
     (logits * Tensor(onehot)).sum().backward()
     alpha = acts.grad[0].mean(axis=(1, 2))
     return np.maximum((alpha[:, None, None] * acts.data[0]).sum(axis=0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# cut tape against the whole-network tape
+
+
+@pytest.mark.parametrize("insertion", INSERTION_MODES)
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+def test_gradcam_matches_full_tape_reference_bitwise(attention, insertion):
+    model = build_resnet18(desk_config(attention, insertion=insertion), seed=31)
+    image = np.random.default_rng(32).uniform(size=(32, 32))
+    for layer in model.feature_layers():
+        for cls in range(3):
+            got = gradcam_map(model, image, cls, layer).values
+            want = gradcam_reference(model, image, cls, layer)
+            assert got.tobytes() == want.tobytes(), (layer, cls)
+
+
+def test_gradcam_matches_full_tape_reference_full_profile():
+    model = build_resnet18(ModelConfig(attention="cbam"), seed=33)
+    image = np.random.default_rng(34).uniform(size=(128, 128))
+    got = gradcam_map(model, image, 4).values
+    assert got.tobytes() == gradcam_reference(model, image, 4, "stage4.1").tobytes()
+
+
+def _grads(module):
+    return [p.grad for _, p in module.named_params()]
+
+
+def test_gradcam_backpropagates_only_after_capture_point():
+    image = np.random.default_rng(36).uniform(size=(32, 32))
+    model = build_resnet18(desk_config("cbam"), seed=35)
+    gradcam_map(model, image, 1)
+    assert model.stem_conv.weight.grad is None
+    assert all(g is None for _, block in model._named_blocks() for g in _grads(block))
+    assert model.head.weight.grad is not None
+
+    model = build_resnet18(desk_config("cbam"), seed=35)
+    gradcam_map(model, image, 1, layer_name="stage2.0")
+    blocks = dict(model._named_blocks())
+    before = [model.stem_conv, model.stem_bn, blocks["stage1.0"], blocks["stage1.1"],
+              blocks["stage2.0"]]
+    assert all(g is None for m in before for g in _grads(m))
+    assert all(g is not None for g in _grads(blocks["stage3.0"]) + _grads(blocks["stage3.1"]))
+
+    _, acts = model.forward_capture(Tensor(image.reshape(1, 1, 32, 32)), "stage4.1")
+    assert acts.node is None and acts.requires_grad
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from attnatr.backbone import build_resnet18, desk_config
 from attnatr.data import Dataset, SarImage, SynthConfig, synth_dataset
 from attnatr.harness import (HarnessError, PerturbSpec, TrialReport,
                              TrainingDivergenceError, format_report, load_model,
-                             perturb_dataset, perturb_gaussian, run_protocol,
-                             save_model, top1_accuracy, train_model)
+                             model_config_from, perturb_dataset, perturb_gaussian,
+                             run_protocol, save_model, synth_config_from,
+                             top1_accuracy, train_model, train_settings_from)
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor
 
@@ -113,6 +114,14 @@ def test_accuracy_batch_size_invariance():
     assert top1_accuracy(model, ds, batch_size=1) == top1_accuracy(model, ds, batch_size=32)
 
 
+def test_train_settings_from_reads_the_train_keys():
+    assert train_settings_from(cfgmod.resolve()) == (15, 0.05, 0.9, 32)
+    low = cfgmod.resolve({"train.epochs": "1", "train.batch_size": "2"})
+    assert train_settings_from(low) == (1, 0.05, 0.9, 2)
+    with pytest.raises(cfgmod.ConfigFileError, match="'train.batch_size': must be at least 2, got 1"):
+        run_protocol({"train.batch_size": "1"}, ["none"], trials=1)
+
+
 def test_accuracy_empty_dataset_error():
     with pytest.raises(HarnessError, match="empty"):
         top1_accuracy(ConstantModel(3, 8), Dataset([], ["a"], "test"))
@@ -203,10 +212,11 @@ def fast_cfg(**over):
 
 
 def test_untrained_model_is_near_chance():
-    result = run_protocol(fast_cfg(**{"train.epochs": "0",
-                                      "data.per_class_test": "20"}),
-                          ["none"], trials=1, with_perturbed=False)
-    acc = result.clean[0].trials[0]
+    # the protocol rejects train.epochs = 0, so evaluate the freshly built
+    # model that trial 1 of the protocol would start from
+    cfg = cfgmod.resolve(fast_cfg(**{"data.per_class_test": "20"}))
+    model = build_resnet18(model_config_from(cfg), seed=cfgmod.get_int(cfg, "seed"))
+    acc = top1_accuracy(model, synth_dataset(synth_config_from(cfg), "test"))
     assert abs(acc - 1.0 / 3.0) <= 0.15
 
 

@@ -11,7 +11,8 @@ from attnatr.layers import (BatchNorm2d, Conv1d, Conv2d, LayerError, Linear,
                             linear, pool2d, softmax_cross_entropy)
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor
-from helpers import batchnorm_reference, check_gradients, conv2d_naive, pool2d_naive
+from helpers import (batchnorm_reference, check_gradients, conv2d_naive,
+                     max_pool_first_naive, pool2d_naive)
 
 
 def randn(shape, seed=0, scale=1.0):
@@ -174,6 +175,21 @@ def test_pool2d_random_vs_naive(kind, trial):
     got = pool2d(kind, Tensor(x), (kh, kw), (sh, sw), (ph, pw)).data
     want = pool2d_naive(kind, x, (kh, kw), (sh, sw), (ph, pw))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("window, stride, padding",
+                         [((3, 3), (2, 2), (1, 1)), ((2, 2), (2, 2), (0, 0)),
+                          ((3, 2), (1, 2), (1, 0))])
+def test_pool2d_max_keeps_first_maximal_element_bitwise(window, stride, padding):
+    rng = np.random.default_rng(41)
+    x = np.maximum(rng.normal(size=(2, 3, 9, 9)), 0.0)
+    x[rng.uniform(size=x.shape) < 0.4] = -0.0  # windows of mixed +0.0 and -0.0
+    x[0, 0, 2, 3] = np.nan
+    x[1, 1, 6, 6] = np.nan
+    x[1, 1, 6, 7] = -np.nan  # a second NaN, with the sign bit set
+    x[1, 2, 4:7, 4:7] = -np.inf
+    got = pool2d("max", Tensor(x), window, stride, padding).data
+    assert same_bits(got, max_pool_first_naive(x, window, stride, padding))
 
 
 def test_pool2d_window_too_large_error():
