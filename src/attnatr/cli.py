@@ -11,14 +11,13 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .backbone import build_resnet18
-from .data import (SynthConfig, center_crop_or_pad, load_dataset, read_pgm,
-                   synth_dataset, write_image, write_synth_dir)
+from .attention import ATTENTION_KINDS
+from .backbone import INSERTION_MODES
+from .data import SynthConfig, load_dataset, read_chip, write_image, write_synth_dir
 from .explain import gradcam_map, overlay_heatmap
-from .harness import (PerturbSpec, TrialReport, format_report, load_model,
-                      model_config_from, perturb_dataset, run_protocol,
-                      save_model, synth_config_from, top1_accuracy, train_model,
-                      train_settings_from)
+from .harness import (PerturbSpec, TrialReport, datasets_from, format_report,
+                      load_model, perturb_dataset, run_protocol, save_model,
+                      top1_accuracy, train_settings_from, train_variant)
 from .rng import derive_seed
 
 
@@ -35,14 +34,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="attnatr", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
+    # the dest of each config override flag is the key it overrides
     p = sub.add_parser("train", help="train one model or run the full protocol")
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int, help="base seed override")
-    p.add_argument("--attention", choices=("none", "se", "eca", "cbam"))
-    p.add_argument("--insertion", choices=("in_block", "residual_wrap"))
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--attention", dest="model.attention", choices=ATTENTION_KINDS)
+    p.add_argument("--insertion", dest="model.insertion", choices=INSERTION_MODES)
+    p.add_argument("--epochs", dest="train.epochs", type=int)
     p.add_argument("--variants", help="comma list of attention kinds; runs the protocol")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", dest="protocol.trials", type=int)
     p.add_argument("--out", help="checkpoint path (single model) or report path (protocol)")
     p.add_argument("--ckpt-dir", help="directory for per-trial protocol checkpoints")
 
@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradcam", help="emit a saliency overlay for one image")
     p.add_argument("--model", required=True)
-    p.add_argument("--image", required=True, help="input PGM")
+    p.add_argument("--image", required=True, help="input PGM or Phoenix chip")
     p.add_argument("--class", dest="target_class", type=int, required=True)
     p.add_argument("--out", required=True, help="output PPM path")
     p.add_argument("--layer", help="feature layer name (default: deepest)")
@@ -77,10 +77,8 @@ def _build_parser() -> _Parser:
 
 def _resolved_config(args) -> dict:
     layers = [cfgmod.load_config(args.config)] if args.config else []
-    overrides = {key: str(value) for key, value in (
-        ("seed", args.seed), ("model.attention", args.attention),
-        ("model.insertion", args.insertion), ("train.epochs", args.epochs))
-        if value is not None}
+    overrides = {key: str(value) for key, value in vars(args).items()
+                 if key in cfgmod.DEFAULTS and value is not None}
     return cfgmod.resolve(*layers, overrides)
 
 
@@ -94,21 +92,17 @@ def _cmd_train(args) -> int:
     resolved = _resolved_config(args)
     if args.variants:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        trials = args.trials if args.trials is not None \
-            else cfgmod.get_int(resolved, "protocol.trials")
-        result = run_protocol(resolved, variants, trials, out_dir=args.ckpt_dir)
+        result = run_protocol(resolved, variants, cfgmod.get_int(resolved, "protocol.trials"),
+                              out_dir=args.ckpt_dir)
         _emit(result.render(), args.out)
         return 0
     if not args.out:
         raise UsageError("train: --out CHECKPOINT is required for a single-model run")
-    settings = train_settings_from(resolved)
-    seed = cfgmod.get_int(resolved, "seed")
-    model = build_resnet18(model_config_from(resolved), seed=seed)
-    synth_cfg = synth_config_from(resolved)
-    train_ds = synth_dataset(synth_cfg, "train")
-    test_ds = synth_dataset(synth_cfg, "test")
-    losses = train_model(model, train_ds, *settings, seed,
-                         context=f"attention {resolved['model.attention']!r}")
+    train_settings_from(resolved)  # a named error before any data is built
+    train_ds, test_ds = datasets_from(resolved)
+    variant = resolved["model.attention"]
+    model, losses = train_variant(resolved, variant, cfgmod.get_int(resolved, "seed"),
+                                  train_ds, context=f"attention {variant!r}")
     save_model(args.out, model)
     train_acc = top1_accuracy(model, train_ds)
     test_acc = top1_accuracy(model, test_ds)
@@ -143,7 +137,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcam(args) -> int:
     model = load_model(args.model)
-    pixels = center_crop_or_pad(read_pgm(args.image), model.cfg.input_size)
+    pixels = read_chip(args.image, model.cfg.input_size)
     smap = gradcam_map(model, pixels, args.target_class, args.layer)
     write_image("ppm", args.out, overlay_heatmap(pixels, smap, args.alpha))
     sys.stdout.write(f"wrote {args.out} (layer {smap.layer}, class {args.target_class})\n")

@@ -60,10 +60,15 @@ def load_config(path) -> dict[str, str]:
 
 
 def resolve(*layers) -> dict[str, str]:
-    """Merge config layers over the defaults; later layers win."""
+    """Merge config layers over the defaults; later layers win.  A key not
+    in ``DEFAULTS`` is an error, not a setting that nothing reads."""
     out = dict(DEFAULTS)
     for layer in layers:
         if layer:
+            unknown = [key for key in layer if key not in DEFAULTS]
+            if unknown:
+                raise ConfigFileError(
+                    "unknown config key " + ", ".join(repr(k) for k in unknown))
             out.update(layer)
     return out
 

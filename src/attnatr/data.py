@@ -223,6 +223,17 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(h, w).astype(np.float64) / float(maxval)
 
 
+def read_chip(path, size: int | None) -> np.ndarray:
+    """Read a PGM (by its ``.pgm`` suffix) or else a Phoenix chip as [0, 1]
+    pixels, center-cropped or zero-padded to ``size`` unless it is None."""
+    path = Path(path)
+    if path.suffix.lower() == ".pgm":
+        pixels = read_pgm(path)
+    else:
+        pixels = parse_mstar_phoenix(path.read_bytes())[0].magnitude
+    return pixels if size is None else center_crop_or_pad(pixels, size)
+
+
 # ---------------------------------------------------------------------------
 # synthetic speckle dataset
 
@@ -300,30 +311,26 @@ def synth_sample(cfg: SynthConfig, class_id: int, seed: int) -> SarImage:
                     source=f"synth:{class_id}:{seed:016x}")
 
 
-def synth_dataset(cfg: SynthConfig, split: str) -> Dataset:
-    """Generate the full train or test split, ordered by (class, index)."""
+def _synth_chips(cfg: SynthConfig, split: str) -> list:
+    """(class id, stream seed) of each chip of a split, ordered by (class, index)."""
     if split not in ("train", "test"):
         raise DatasetError(f"unknown split {split!r}")
     per_class = cfg.per_class_train if split == "train" else cfg.per_class_test
-    images = []
-    for class_id in range(cfg.num_classes):
-        for index in range(per_class):
-            seed = derive_seed(cfg.seed, "synth", split, class_id, index)
-            images.append(synth_sample(cfg, class_id, seed))
+    return [(class_id, derive_seed(cfg.seed, "synth", split, class_id, index))
+            for class_id in range(cfg.num_classes) for index in range(per_class)]
+
+
+def synth_dataset(cfg: SynthConfig, split: str) -> Dataset:
+    """Generate the full train or test split, ordered by (class, index)."""
+    images = [synth_sample(cfg, class_id, seed) for class_id, seed in _synth_chips(cfg, split)]
     return Dataset(images, cfg.class_names(), split)
 
 
 def synth_manifest(cfg: SynthConfig, split: str) -> str:
     """One line per image: index, class id, class name, stream seed."""
-    per_class = cfg.per_class_train if split == "train" else cfg.per_class_test
     names = cfg.class_names()
-    lines = []
-    index = 0
-    for class_id in range(cfg.num_classes):
-        for i in range(per_class):
-            seed = derive_seed(cfg.seed, "synth", split, class_id, i)
-            lines.append(f"{index}\t{class_id}\t{names[class_id]}\t{seed:016x}")
-            index += 1
+    lines = [f"{index}\t{class_id}\t{names[class_id]}\t{seed:016x}"
+             for index, (class_id, seed) in enumerate(_synth_chips(cfg, split))]
     return "\n".join(lines) + "\n"
 
 
@@ -370,11 +377,9 @@ def _load_manifest_dir(root: Path, size: int | None) -> Dataset:
     for index, class_id, name in entries:
         path = root / name / f"{index:05d}.pgm"
         try:
-            pixels = read_pgm(path)
+            pixels = read_chip(path, size)
         except ImageIoError as exc:
             raise DatasetError(f"unreadable file {path}: {exc}") from exc
-        if size is not None:
-            pixels = center_crop_or_pad(pixels, size)
         images.append(SarImage(pixels, class_id, source=str(path)))
     return Dataset(images, class_names, split="manifest")
 
@@ -395,33 +400,21 @@ def _load_class_tree(root: Path, split: str, size: int | None) -> Dataset:
             raise DatasetError(f"class directory {cls_dir} is empty")
         for path in files:
             try:
-                if path.suffix.lower() == ".pgm":
-                    pixels = read_pgm(path)
-                    if size is not None:
-                        pixels = center_crop_or_pad(pixels, size)
-                else:
-                    img, _ = parse_mstar_phoenix(path.read_bytes(), size=size)
-                    pixels = img.magnitude
+                pixels = read_chip(path, size)
             except (PhoenixError, ImageIoError, OSError) as exc:
                 raise DatasetError(f"unreadable file {path}: {exc}") from exc
             images.append(SarImage(pixels, label, source=str(path)))
     return Dataset(images, class_names, split)
 
 
-def load_dataset(source, cfg=None, split: str = "train", size: int | None = None) -> Dataset:
-    """Load a dataset from a SynthConfig or a directory.
+def load_dataset(source, split: str = "train", size: int | None = None) -> Dataset:
+    """Load a dataset directory.
 
-    Directories are either a synth-gen output (manifest.tsv plus class
-    subdirectories of PGMs) or a chip tree laid out <split>/<class>/<files>
-    where files are Phoenix chips or PGMs.  Ordering is stable: manifest
-    order, or lexicographic by path.
+    It is either a synth-gen output (manifest.tsv plus class subdirectories
+    of PGMs) or a chip tree laid out <split>/<class>/<files> where files are
+    Phoenix chips or PGMs.  Ordering is stable: manifest order, or
+    lexicographic by path.
     """
-    if isinstance(source, SynthConfig):
-        return synth_dataset(source, split)
-    if source == "synth":
-        if not isinstance(cfg, SynthConfig):
-            raise DatasetError("synth source requires a SynthConfig")
-        return synth_dataset(cfg, split)
     root = Path(source)
     if not root.is_dir():
         raise DatasetError(f"dataset directory {root} does not exist")

@@ -8,7 +8,7 @@ printed per-test values under round-half-even at two decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -102,6 +102,9 @@ def train_model(model: ResNet, dataset: Dataset, epochs: int, lr: float,
                 momentum: float, batch_size: int, seed: int,
                 context: str = "training") -> list:
     """SGD training with seeded shuffling; returns mean loss per epoch."""
+    for name, value, least in (("epochs", epochs, 1), ("batch_size", batch_size, 2)):
+        if value < least:
+            raise HarnessError(f"{name} must be at least {least}, got {value}")
     params = model.named_params()
     opt = SgdOptimizer(params, lr=lr, momentum=momentum)
     shuffle_rng = SplitMix64(derive_seed(seed, "shuffle"))
@@ -242,6 +245,24 @@ def train_settings_from(cfg: dict) -> tuple:
             cfgmod.get_float(cfg, "train.momentum"), batch_size)
 
 
+def datasets_from(cfg: dict) -> tuple:
+    """(train, test) of a resolved config; ``synth`` is the one ``data.source``."""
+    cfgmod.get_str(cfg, "data.source", choices=("synth",))
+    synth_cfg = synth_config_from(cfg)
+    return synth_dataset(synth_cfg, "train"), synth_dataset(synth_cfg, "test")
+
+
+def train_variant(cfg: dict, variant: str, seed: int, train_ds: Dataset,
+                  context: str) -> tuple:
+    """Build the ``variant`` model of a resolved config from ``seed`` and
+    train it with the ``train.*`` settings; returns (model, epoch losses)."""
+    model = build_resnet18(model_config_from({**cfg, "model.attention": variant}),
+                           seed=seed)
+    losses = train_model(model, train_ds, *train_settings_from(cfg), seed,
+                         context=context)
+    return model, losses
+
+
 def perturb_spec_from(cfg: dict) -> PerturbSpec:
     return PerturbSpec(
         mean=cfgmod.get_float(cfg, "perturb.mean"),
@@ -295,9 +316,7 @@ class ProtocolResult:
 
     def render(self) -> str:
         trials = int(self.resolved.get("protocol.trials", "3"))
-        sigma = PerturbSpec(
-            scale=float(self.resolved["perturb.scale"]),
-            interpretation=self.resolved["perturb.interpretation"]).sigma()
+        sigma = perturb_spec_from(self.resolved).sigma()
         parts = ["== Resolved config ==",
                  cfgmod.format_config(self.resolved),
                  "== Top-1 accuracy ==",
@@ -322,11 +341,9 @@ def run_protocol(cfg: dict | None, variants, trials: int,
     if trials < 1:
         raise HarnessError(f"need at least one trial, got {trials}")
     resolved = cfgmod.resolve(cfg)
-    epochs, lr, momentum, batch_size = train_settings_from(resolved)
+    *_, batch_size = train_settings_from(resolved)
     base_seed = cfgmod.get_int(resolved, "seed")
-    synth_cfg = synth_config_from(resolved)
-    train_ds = synth_dataset(synth_cfg, "train")
-    test_ds = synth_dataset(synth_cfg, "test")
+    train_ds, test_ds = datasets_from(resolved)
     spec = perturb_spec_from(resolved)
 
     baseline = "none" if "none" in variants else None
@@ -337,24 +354,17 @@ def run_protocol(cfg: dict | None, variants, trials: int,
         clean_accs, noisy_accs = [], []
         for trial in range(trials):
             seed = base_seed + trial
-            model_cfg = model_config_from({**resolved, "model.attention": variant})
-            model = build_resnet18(model_cfg, seed=seed)
-            train_model(model, train_ds, epochs, lr, momentum, batch_size, seed,
-                        context=f"variant {variant!r} trial {trial + 1}")
+            context = f"variant {variant!r} trial {trial + 1}"
+            model, _ = train_variant(resolved, variant, seed, train_ds, context)
             clean_accs.append(top1_accuracy(model, test_ds, batch_size))
             if with_perturbed:
                 noisy = perturb_dataset(
-                    test_ds,
-                    PerturbSpec(spec.mean, spec.scale, spec.interpretation,
-                                seed=derive_seed(spec.seed, variant, trial)))
+                    test_ds, replace(spec, seed=derive_seed(spec.seed, variant, trial)))
                 noisy_model = model
                 if fresh_perturbed:
-                    alt_seed = derive_seed(seed, "perturbed-model")
-                    noisy_model = build_resnet18(model_cfg, seed=alt_seed)
-                    train_model(noisy_model, train_ds, epochs, lr, momentum,
-                                batch_size, alt_seed,
-                                context=f"variant {variant!r} trial {trial + 1} "
-                                        "(perturbed-eval model)")
+                    noisy_model, _ = train_variant(
+                        resolved, variant, derive_seed(seed, "perturbed-model"),
+                        train_ds, f"{context} (perturbed-eval model)")
                 noisy_accs.append(top1_accuracy(noisy_model, noisy, batch_size))
             result.checkpoints[(variant, trial)] = dump_tensors(model.named_state())
             if out_dir is not None:

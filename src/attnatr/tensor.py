@@ -47,10 +47,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def broadcast_shape(a: tuple, b: tuple) -> tuple:
     """Broadcast two shapes by left-padding and singleton-extent expansion."""
     rank = max(len(a), len(b))
@@ -225,10 +221,7 @@ class Tensor:
         # row-major scan order, keeping backward deterministic
         axes = _check_axes(axes, self.ndim)
         shape = self.shape
-        if axes is None:
-            axes_t = tuple(range(self.ndim))
-        else:
-            axes_t = axes if isinstance(axes, tuple) else (axes,)
+        axes_t = tuple(range(self.ndim)) if axes is None else axes
         kept = tuple(i for i in range(self.ndim) if i not in axes_t)
         perm = kept + axes_t
         red = int(np.prod([shape[i] for i in axes_t])) if axes_t else 1
@@ -245,13 +238,7 @@ class Tensor:
             return (gx,)
 
         if keepdims:
-            out_shape = tuple(1 if i in axes_t else shape[i] for i in range(self.ndim))
-            out = out.reshape(out_shape)
-
-            def back_keep(g):
-                return back(g.reshape(arg.shape))
-
-            return apply_op("max", out, (self,), back_keep)
+            out = out.reshape(tuple(1 if i in axes_t else shape[i] for i in range(self.ndim)))
         return apply_op("max", out, (self,), back)
 
     # -- autodiff --------------------------------------------------------

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
+from attnatr import config as cfgmod
 from attnatr.cli import run_command
+from attnatr.data import write_phoenix
+from attnatr.harness import run_protocol
 
 
 @pytest.fixture()
@@ -147,7 +151,6 @@ def test_train_rejects_bad_train_settings(tmp_path, small_cfg, capsys, monkeypat
     def no_data(*args):
         raise AssertionError("data synthesized before the train settings were checked")
 
-    monkeypatch.setattr("attnatr.cli.synth_dataset", no_data)
     monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
     with open(small_cfg, "a") as fh:
         fh.write(f"{key} = {value}\n")
@@ -156,6 +159,39 @@ def test_train_rejects_bad_train_settings(tmp_path, small_cfg, capsys, monkeypat
     err = capsys.readouterr().err
     assert f"config key '{key}': must be at least" in err and f"got {value}" in err
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
+def test_train_out_checkpoint_is_the_protocol_trial(tmp_path, small_cfg, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--attention", "se",
+                        "--out", str(ckpt)]) == 0
+    result = run_protocol(cfgmod.load_config(small_cfg), ["se"], 1, with_perturbed=False)
+    assert ckpt.read_bytes() == result.checkpoints[("se", 0)]
+
+
+@pytest.mark.parametrize("mode", [["--out", "m.ckpt"], ["--variants", "none", "--trials", "1"]])
+@pytest.mark.parametrize("key, value", [("data.source", "/nonexistent"), ("train.epoch", "3")])
+def test_train_rejects_bad_config_keys(tmp_path, small_cfg, capsys, monkeypatch,
+                                       mode, key, value):
+    with open(small_cfg, "a") as fh:
+        fh.write(f"{key} = {value}\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["train", "--config", small_cfg, *mode]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
+def test_gradcam_reads_a_phoenix_chip(tmp_path, small_cfg, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
+    chip = tmp_path / "chip.raw"
+    chip.write_bytes(write_phoenix(np.random.default_rng(3).uniform(size=(40, 28))))
+    cam = tmp_path / "cam.ppm"
+    assert run_command(["gradcam", "--model", str(ckpt), "--image", str(chip),
+                        "--class", "1", "--out", str(cam)]) == 0
+    raw = cam.read_bytes()
+    assert raw.startswith(b"P6\n32 32\n255\n")
+    assert len(raw) == len(b"P6\n32 32\n255\n") + 32 * 32 * 3
 
 
 def test_gradcam_bad_class_is_runtime_error(tmp_path, small_cfg, capsys):

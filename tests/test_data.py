@@ -220,6 +220,20 @@ def test_synth_manifest_format():
     int(first[3], 16)
 
 
+@pytest.mark.parametrize("make", [synth_dataset, synth_manifest])
+def test_synth_rejects_unknown_split(make):
+    with pytest.raises(DatasetError, match="unknown split 'bogus'"):
+        make(SynthConfig(per_class_test=2), "bogus")
+
+
+def test_synth_manifest_rows_name_the_dataset_chips():
+    cfg = SynthConfig(num_classes=3, per_class_train=2, seed=4)
+    rows = [line.split("\t") for line in synth_manifest(cfg, "train").splitlines()]
+    chips = synth_dataset(cfg, "train").images
+    assert [f"synth:{r[1]}:{r[3]}" for r in rows] == [img.source for img in chips]
+    assert synth_manifest(SynthConfig(per_class_test=0), "test") == "\n"
+
+
 def test_synth_class_id_validation():
     with pytest.raises(DatasetError, match="out of range"):
         synth_sample(SynthConfig(), 5, seed=1)

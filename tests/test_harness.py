@@ -7,9 +7,10 @@ from attnatr.data import Dataset, SarImage, SynthConfig, synth_dataset
 from attnatr.harness import (HarnessError, PerturbSpec, TrialReport,
                              TrainingDivergenceError, format_report, load_model,
                              model_config_from, perturb_dataset, perturb_gaussian,
-                             run_protocol, save_model, synth_config_from,
-                             top1_accuracy, train_model, train_settings_from)
-from attnatr.rng import SplitMix64
+                             perturb_spec_from, run_protocol, save_model,
+                             synth_config_from, top1_accuracy, train_model,
+                             train_settings_from)
+from attnatr.rng import SplitMix64, derive_seed
 from attnatr.tensor import Tensor
 
 
@@ -259,6 +260,40 @@ def test_protocol_rejects_unknown_perturbed_models():
         run_protocol(fast_cfg(**{"protocol.perturbed_models": "frsh"}), ["none"], trials=1)
 
 
+def test_protocol_fresh_perturbed_models_train_from_the_derived_seed():
+    reuse = run_protocol(fast_cfg(), ["eca"], trials=2)
+    fresh = run_protocol(fast_cfg(**{"protocol.perturbed_models": "fresh"}), ["eca"], trials=2)
+    assert fresh.checkpoints == reuse.checkpoints
+    assert [r.trials for r in fresh.clean] == [r.trials for r in reuse.clean]
+
+    cfg = cfgmod.resolve(fast_cfg())
+    settings = train_settings_from(cfg)
+    synth = synth_config_from(cfg)
+    train, test = synth_dataset(synth, "train"), synth_dataset(synth, "test")
+    spec = perturb_spec_from(cfg)
+    expected = []
+    for trial in range(2):
+        seed = derive_seed(7 + trial, "perturbed-model")
+        model = build_resnet18(model_config_from({**cfg, "model.attention": "eca"}), seed=seed)
+        train_model(model, train, *settings, seed)
+        noisy = perturb_dataset(test, PerturbSpec(scale=spec.scale,
+                                                  seed=derive_seed(spec.seed, "eca", trial)))
+        expected.append(top1_accuracy(model, noisy, settings[3]))
+    assert fresh.perturbed[0].trials == expected
+
+
+@pytest.mark.parametrize("epochs, batch_size, message", [
+    (1, 0, "batch_size must be at least 2, got 0"),
+    (1, 1, "batch_size must be at least 2, got 1"),
+    (0, 4, "epochs must be at least 1, got 0"),
+    (-1, 4, "epochs must be at least 1, got -1")])
+def test_train_model_checks_its_arguments(epochs, batch_size, message):
+    model = build_resnet18(desk_config(), seed=3)
+    with pytest.raises(HarnessError, match=message):
+        train_model(model, gray_dataset([0, 1, 2, 0], size=32), epochs, 0.01, 0.0,
+                    batch_size, seed=4)
+
+
 def test_train_model_skips_degenerate_tail_batch():
     # 11 samples with batch 4 leaves a 3-sample tail, all usable; batch 10
     # leaves a single sample which batchnorm cannot take
@@ -323,6 +358,11 @@ def test_config_resolve_layers():
     assert merged["seed"] == "4"
     assert merged["train.lr"] == "0.1"
     assert merged["model.attention"] == "none"
+
+
+def test_config_resolve_rejects_unknown_key():
+    with pytest.raises(cfgmod.ConfigFileError, match="unknown config key 'train.epoch'"):
+        cfgmod.resolve({"seed": "3"}, {"train.epoch": "3"})
 
 
 def test_config_typed_getters():
