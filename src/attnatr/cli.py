@@ -7,17 +7,18 @@ success, 1 on usage errors (message on stderr), 2 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import config as cfgmod
 from .attention import ATTENTION_KINDS
 from .backbone import INSERTION_MODES
-from .data import SynthConfig, load_dataset, read_chip, write_image, write_synth_dir
+from .data import load_dataset, read_chip, write_image, write_synth_dir
 from .explain import gradcam_map, overlay_heatmap
 from .harness import (PerturbSpec, TrialReport, datasets_from, format_report,
                       load_model, perturb_dataset, run_protocol, save_model,
-                      top1_accuracy, train_settings_from, train_variant)
+                      synth_config_from, top1_accuracy, train_variant)
 from .rng import derive_seed
 
 
@@ -50,7 +51,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="base seed of the noise trials")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", help="split of a chip tree (default: test)")
     p.add_argument("--perturb-std", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=32)
@@ -66,20 +67,20 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth-gen", help="materialize a synthetic dataset directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-class", type=int, default=50)
+    p.add_argument("--classes", dest="data.classes", type=int, default=3)
+    p.add_argument("--per-class", type=int, default=50, help="chips per class")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=32)
+    p.add_argument("--size", dest="data.image_size", type=int, default=32)
     p.add_argument("--split", default="test", choices=("train", "test"))
-    p.add_argument("--looks", type=int, default=1)
+    p.add_argument("--looks", dest="data.speckle_looks", type=int, default=1)
     return parser
 
 
-def _resolved_config(args) -> dict:
-    layers = [cfgmod.load_config(args.config)] if args.config else []
+def _resolved_config(args, layer) -> dict:
+    """Resolve ``layer`` under the config keys that flags set."""
     overrides = {key: str(value) for key, value in vars(args).items()
-                 if key in cfgmod.DEFAULTS and value is not None}
-    return cfgmod.resolve(*layers, overrides)
+                 if key in cfgmod.SCHEMA and value is not None}
+    return cfgmod.resolve(layer, overrides)
 
 
 def _emit(text: str, out_path=None):
@@ -89,19 +90,18 @@ def _emit(text: str, out_path=None):
 
 
 def _cmd_train(args) -> int:
-    resolved = _resolved_config(args)
+    resolved = _resolved_config(args, args.config and cfgmod.load_config(args.config))
     if args.variants:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        result = run_protocol(resolved, variants, cfgmod.get_int(resolved, "protocol.trials"),
+        result = run_protocol(resolved, variants, cfgmod.get(resolved, "protocol.trials"),
                               out_dir=args.ckpt_dir)
         _emit(result.render(), args.out)
         return 0
     if not args.out:
         raise UsageError("train: --out CHECKPOINT is required for a single-model run")
-    train_settings_from(resolved)  # a named error before any data is built
     train_ds, test_ds = datasets_from(resolved)
     variant = resolved["model.attention"]
-    model, losses = train_variant(resolved, variant, cfgmod.get_int(resolved, "seed"),
+    model, losses = train_variant(resolved, variant, cfgmod.get(resolved, "seed"),
                                   train_ds, context=f"attention {variant!r}")
     save_model(args.out, model)
     train_acc = top1_accuracy(model, train_ds)
@@ -117,8 +117,13 @@ def _cmd_eval(args) -> int:
         if value < 1:
             raise UsageError(f"eval: {flag} must be at least 1, got {value}")
     sigma = args.perturb_std
+    if not 0 <= sigma < math.inf:
+        raise UsageError(f"eval: --perturb-std must be finite and at least 0, got {sigma}")
+    if args.split is not None and (Path(args.data) / "manifest.tsv").is_file():
+        raise UsageError(f"eval: --split does not apply to {args.data}, a synth-gen "
+                         "directory of one split")
     model = load_model(args.model)
-    dataset = load_dataset(args.data, split=args.split, size=model.cfg.input_size)
+    dataset = load_dataset(args.data, split=args.split or "test", size=model.cfg.input_size)
     accs = []
     for trial in range(args.trials):
         ds = dataset
@@ -145,13 +150,10 @@ def _cmd_gradcam(args) -> int:
 
 
 def _cmd_synth_gen(args) -> int:
-    cfg = SynthConfig(num_classes=args.classes,
-                      per_class_train=args.per_class,
-                      per_class_test=args.per_class,
-                      image_size=args.size,
-                      speckle_looks=args.looks,
-                      seed=args.seed)
-    count = write_synth_dir(cfg, args.out, split=args.split)
+    per_class = str(args.per_class)
+    resolved = _resolved_config(args, {"data.per_class_train": per_class,
+                                       "data.per_class_test": per_class})
+    count = write_synth_dir(synth_config_from(resolved), args.out, split=args.split)
     sys.stdout.write(f"wrote {count} images and manifest.tsv to {args.out}\n")
     return 0
 

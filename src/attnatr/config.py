@@ -1,40 +1,47 @@
 """Flat "key = value" configuration files.
 
 One assignment per line, '#' starts a comment, keys are namespaced with dots
-("model.attention", "perturb.scale").  Values stay strings until a typed
-getter asks for them, so reports can embed the resolved config verbatim.
+("model.attention", "perturb.scale").  ``SCHEMA`` gives each key its
+default, type, choices or bound and a one-line doc, and ``resolve`` checks
+every key against it.  Values stay strings, so reports can embed the resolved
+config verbatim; ``get`` returns a key's typed value.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class ConfigFileError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "seed": "7",
-    "model.profile": "desk",           # desk | full
-    "model.attention": "none",
-    "model.insertion": "in_block",
-    "model.reduction": "16",
-    "model.eca_gamma": "16",
-    "model.spatial_kernel": "7",
-    "data.source": "synth",
-    "data.classes": "3",
-    "data.per_class_train": "100",
-    "data.per_class_test": "50",
-    "data.image_size": "32",
-    "data.speckle_looks": "1",
-    "train.lr": "0.05",                # desk defaults; not from the study
-    "train.momentum": "0.9",
-    "train.batch_size": "32",
-    "train.epochs": "15",
-    "perturb.mean": "0",
-    "perturb.scale": "0.011764705882352941",  # 3/255
-    "perturb.interpretation": "std_dev",      # std_dev | variance
-    "protocol.trials": "3",
-    "protocol.perturbed_models": "reuse",     # reuse | fresh
+# key: (default, type, choices or lower bound, doc).  An int must be at least
+# its bound, and a float finite and above it.  ModelConfig.validate checks the
+# model keys, so they have only a type here.
+SCHEMA = {
+    "seed": ("7", int, None, "base seed of every stream"),
+    "model.profile": ("desk", str, ("desk", "full"), "widths 4-32 (desk) or 64-512 (full)"),
+    "model.attention": ("none", str, None, "none, se, eca or cbam; ModelConfig checks it"),
+    "model.insertion": ("in_block", str, None, "in_block or residual_wrap, checked likewise"),
+    "model.reduction": ("16", int, None, "SE and CBAM channel reduction ratio"),
+    "model.eca_gamma": ("16", int, None, "ECA kernel-size gamma"),
+    "model.spatial_kernel": ("7", int, None, "CBAM spatial kernel size, odd"),
+    "data.source": ("synth", str, ("synth",), "the seeded synthetic dataset"),
+    "data.classes": ("3", int, 1, "target classes; a model needs 2 or more"),
+    "data.per_class_train": ("100", int, 1, "training chips per class"),
+    "data.per_class_test": ("50", int, 1, "test chips per class"),
+    "data.image_size": ("32", int, 1, "chip side in pixels; a model needs 32 or more"),
+    "data.speckle_looks": ("1", int, 1, "looks averaged per speckle pixel"),
+    "train.lr": ("0.05", float, 0.0, "SGD rate; train.* are desk defaults, not the study's"),
+    "train.momentum": ("0.9", float, None, "SGD momentum"),
+    "train.batch_size": ("32", int, 2, "batchnorm needs two samples"),
+    "train.epochs": ("15", int, 1, "epochs per trained model"),
+    "perturb.mean": ("0", float, None, "mean of the input noise"),
+    "perturb.scale": ("0.011764705882352941", float, 0.0, "3/255, a sigma or a variance"),
+    "perturb.interpretation": ("std_dev", str, ("std_dev", "variance"), "what the scale is"),
+    "protocol.trials": ("3", int, 1, "seeded trials per variant"),
+    "protocol.perturbed_models": ("reuse", str, ("reuse", "fresh"), "noisy eval's model"),
 }
 
 
@@ -61,15 +68,17 @@ def load_config(path) -> dict[str, str]:
 
 def resolve(*layers) -> dict[str, str]:
     """Merge config layers over the defaults; later layers win.  A key not
-    in ``DEFAULTS`` is an error, not a setting that nothing reads."""
-    out = dict(DEFAULTS)
+    in ``SCHEMA``, or a value that ``get`` rejects, is an error."""
+    out = {key: spec[0] for key, spec in SCHEMA.items()}
     for layer in layers:
         if layer:
-            unknown = [key for key in layer if key not in DEFAULTS]
+            unknown = [key for key in layer if key not in SCHEMA]
             if unknown:
                 raise ConfigFileError(
                     "unknown config key " + ", ".join(repr(k) for k in unknown))
             out.update(layer)
+    for key in SCHEMA:
+        get(out, key)
     return out
 
 
@@ -86,9 +95,12 @@ def get_int(cfg, key) -> int:
 
 def get_float(cfg, key) -> float:
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except (KeyError, ValueError) as exc:
         raise ConfigFileError(f"config key {key!r}: expected number: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigFileError(f"config key {key!r}: expected a finite number, got {value}")
+    return value
 
 
 def get_int_tuple(cfg, key) -> tuple:
@@ -99,11 +111,20 @@ def get_int_tuple(cfg, key) -> tuple:
             f"config key {key!r}: expected comma-separated integers: {exc}") from exc
 
 
-def get_str(cfg, key, choices=None) -> str:
+def get_str(cfg, key) -> str:
     try:
-        value = cfg[key]
+        return cfg[key]
     except KeyError as exc:
         raise ConfigFileError(f"missing config key {key!r}") from exc
-    if choices is not None and value not in choices:
-        raise ConfigFileError(f"config key {key!r}: {value!r} not in {tuple(choices)}")
+
+
+def get(cfg, key):
+    """The typed value of a ``SCHEMA`` key, checked against its choices or bound."""
+    _, kind, limit, _ = SCHEMA[key]
+    value = {int: get_int, float: get_float, str: get_str}[kind](cfg, key)
+    if isinstance(limit, tuple) and value not in limit:
+        raise ConfigFileError(f"config key {key!r}: {value!r} not in {limit}")
+    if isinstance(limit, (int, float)) and (value < limit if kind is int else value <= limit):
+        raise ConfigFileError(f"config key {key!r}: must be "
+                              f"{'at least' if kind is int else 'above'} {limit}, got {value}")
     return value

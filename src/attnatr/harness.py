@@ -201,53 +201,32 @@ def format_report(reports: list, title: str = "", trials: int | None = None) -> 
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
-    profile = cfgmod.get_str(cfg, "model.profile", choices=("desk", "full"))
-    base = desk_config() if profile == "desk" else ModelConfig()
-    return ModelConfig(
-        in_channels=1,
-        input_size=cfgmod.get_int(cfg, "data.image_size"),
-        num_classes=cfgmod.get_int(cfg, "data.classes"),
-        stage_widths=base.stage_widths,
-        blocks_per_stage=base.blocks_per_stage,
-        attention=cfgmod.get_str(cfg, "model.attention"),
-        insertion=cfgmod.get_str(cfg, "model.insertion"),
-        reduction=cfgmod.get_int(cfg, "model.reduction"),
-        eca_gamma=cfgmod.get_int(cfg, "model.eca_gamma"),
-        spatial_kernel=cfgmod.get_int(cfg, "model.spatial_kernel"),
-    ).validate()
+    base = desk_config() if cfgmod.get(cfg, "model.profile") == "desk" else ModelConfig()
+    return replace(base, input_size=cfgmod.get(cfg, "data.image_size"),
+                   num_classes=cfgmod.get(cfg, "data.classes"),
+                   **{f.name: cfgmod.get(cfg, f"model.{f.name}") for f in fields(ModelConfig)
+                      if f"model.{f.name}" in cfgmod.SCHEMA}).validate()
 
 
 def synth_config_from(cfg: dict) -> SynthConfig:
     return SynthConfig(
-        num_classes=cfgmod.get_int(cfg, "data.classes"),
-        per_class_train=cfgmod.get_int(cfg, "data.per_class_train"),
-        per_class_test=cfgmod.get_int(cfg, "data.per_class_test"),
-        image_size=cfgmod.get_int(cfg, "data.image_size"),
-        speckle_looks=cfgmod.get_int(cfg, "data.speckle_looks"),
-        seed=cfgmod.get_int(cfg, "seed"),
+        num_classes=cfgmod.get(cfg, "data.classes"),
+        per_class_train=cfgmod.get(cfg, "data.per_class_train"),
+        per_class_test=cfgmod.get(cfg, "data.per_class_test"),
+        image_size=cfgmod.get(cfg, "data.image_size"),
+        speckle_looks=cfgmod.get(cfg, "data.speckle_looks"),
+        seed=cfgmod.get(cfg, "seed"),
     )
 
 
 def train_settings_from(cfg: dict) -> tuple:
-    """(epochs, lr, momentum, batch_size) from the ``train.*`` keys.
-
-    Batches need two samples for batchnorm and a run needs one epoch, so
-    smaller values are rejected here, before any data is built.
-    """
-    epochs = cfgmod.get_int(cfg, "train.epochs")
-    batch_size = cfgmod.get_int(cfg, "train.batch_size")
-    for key, value, least in (("train.epochs", epochs, 1),
-                              ("train.batch_size", batch_size, 2)):
-        if value < least:
-            raise cfgmod.ConfigFileError(
-                f"config key {key!r}: must be at least {least}, got {value}")
-    return (epochs, cfgmod.get_float(cfg, "train.lr"),
-            cfgmod.get_float(cfg, "train.momentum"), batch_size)
+    """(epochs, lr, momentum, batch_size) from the ``train.*`` keys."""
+    return tuple(cfgmod.get(cfg, f"train.{name}")
+                 for name in ("epochs", "lr", "momentum", "batch_size"))
 
 
 def datasets_from(cfg: dict) -> tuple:
     """(train, test) of a resolved config; ``synth`` is the one ``data.source``."""
-    cfgmod.get_str(cfg, "data.source", choices=("synth",))
     synth_cfg = synth_config_from(cfg)
     return synth_dataset(synth_cfg, "train"), synth_dataset(synth_cfg, "test")
 
@@ -265,11 +244,10 @@ def train_variant(cfg: dict, variant: str, seed: int, train_ds: Dataset,
 
 def perturb_spec_from(cfg: dict) -> PerturbSpec:
     return PerturbSpec(
-        mean=cfgmod.get_float(cfg, "perturb.mean"),
-        scale=cfgmod.get_float(cfg, "perturb.scale"),
-        interpretation=cfgmod.get_str(cfg, "perturb.interpretation",
-                                      choices=("std_dev", "variance")),
-        seed=derive_seed(cfgmod.get_int(cfg, "seed"), "perturb"),
+        mean=cfgmod.get(cfg, "perturb.mean"),
+        scale=cfgmod.get(cfg, "perturb.scale"),
+        interpretation=cfgmod.get(cfg, "perturb.interpretation"),
+        seed=derive_seed(cfgmod.get(cfg, "seed"), "perturb"),
     )
 
 
@@ -315,7 +293,7 @@ class ProtocolResult:
     checkpoints: dict = field(default_factory=dict)  # (variant, trial) -> bytes
 
     def render(self) -> str:
-        trials = int(self.resolved.get("protocol.trials", "3"))
+        trials = cfgmod.get(self.resolved, "protocol.trials")
         sigma = perturb_spec_from(self.resolved).sigma()
         parts = ["== Resolved config ==",
                  cfgmod.format_config(self.resolved),
@@ -340,15 +318,18 @@ def run_protocol(cfg: dict | None, variants, trials: int,
     """
     if trials < 1:
         raise HarnessError(f"need at least one trial, got {trials}")
+    if not variants or len(set(variants)) < len(variants):
+        raise HarnessError(f"need one or more distinct variants, got {list(variants)}")
     resolved = cfgmod.resolve(cfg)
+    for variant in variants:  # a bad variant fails before any training
+        model_config_from({**resolved, "model.attention": variant})
     *_, batch_size = train_settings_from(resolved)
-    base_seed = cfgmod.get_int(resolved, "seed")
+    base_seed = cfgmod.get(resolved, "seed")
     train_ds, test_ds = datasets_from(resolved)
     spec = perturb_spec_from(resolved)
 
     baseline = "none" if "none" in variants else None
-    fresh_perturbed = cfgmod.get_str(resolved, "protocol.perturbed_models",
-                                     choices=("reuse", "fresh")) == "fresh"
+    fresh_perturbed = cfgmod.get(resolved, "protocol.perturbed_models") == "fresh"
     result = ProtocolResult(resolved={**resolved, "protocol.trials": str(trials)})
     for variant in variants:
         clean_accs, noisy_accs = [], []

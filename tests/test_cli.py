@@ -205,3 +205,82 @@ def test_gradcam_bad_class_is_runtime_error(tmp_path, small_cfg, capsys):
                           "--class", "9", "--out", str(tmp_path / "cam.ppm")])
     assert status == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, setting, key", [
+    (["train", "--out", "m.ckpt"], "data.per_class_train = 0", "data.per_class_train"),
+    (["train", "--variants", "none"], "data.per_class_train = 0", "data.per_class_train"),
+    (["train", "--variants", "none"], "data.per_class_test = 0", "data.per_class_test"),
+    (["train", "--out", "m.ckpt"], "data.speckle_looks = 0", "data.speckle_looks"),
+    (["train", "--variants", "none"], "data.speckle_looks = -5", "data.speckle_looks"),
+    (["train", "--variants", "none"], "perturb.scale = 0", "perturb.scale"),
+    (["train", "--variants", "none"], "perturb.scale = -1", "perturb.scale"),
+    (["train", "--variants", "none"], "perturb.mean = nan", "perturb.mean"),
+    (["train", "--out", "m.ckpt"], "train.lr = inf", "train.lr"),
+    (["synth-gen", "--out", "d", "--classes", "0"], None, "data.classes"),
+    (["synth-gen", "--out", "d", "--per-class", "-1"], None, "data.per_class_train"),
+    (["synth-gen", "--out", "d", "--looks", "0"], None, "data.speckle_looks")])
+def test_bad_config_values_fail_before_any_data(tmp_path, small_cfg, capsys, monkeypatch,
+                                                argv, setting, key):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data synthesized before the config was checked")
+
+    monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
+    monkeypatch.setattr("attnatr.cli.write_synth_dir", no_data)
+    if setting is not None:
+        with open(small_cfg, "a") as fh:
+            fh.write(setting + "\n")
+        argv = argv + ["--config", small_cfg]
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
+@pytest.mark.parametrize("variants, message", [
+    (",", "distinct variants, got []"),
+    ("none,none", "distinct variants, got ['none', 'none']"),
+    ("none,cbam,bogus", "attention='bogus'")])
+def test_train_checks_variants_before_any_data(tmp_path, small_cfg, capsys, monkeypatch,
+                                               variants, message):
+    def no_data(*args):
+        raise AssertionError("data synthesized before the variants were checked")
+
+    monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
+    assert run_command(["train", "--config", small_cfg, "--variants", variants,
+                        "--ckpt-dir", str(tmp_path / "ck")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_eval_rejects_bad_perturb_std(tmp_path, capsys, value):
+    status = run_command(["eval", "--model", str(tmp_path / "m.ckpt"), "--data", str(tmp_path),
+                          "--perturb-std", value])
+    assert status == 1
+    assert "--perturb-std must be finite and at least 0" in capsys.readouterr().err
+
+
+def test_eval_split_applies_only_to_a_chip_tree(tmp_path, small_cfg, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
+    synth = tmp_path / "synth"
+    assert run_command(["synth-gen", "--out", str(synth), "--per-class", "2",
+                        "--split", "train"]) == 0
+    capsys.readouterr()
+    for split in ("test", "bogus"):
+        status = run_command(["eval", "--model", str(ckpt), "--data", str(synth),
+                              "--split", split])
+        assert status == 1
+        assert "--split" in capsys.readouterr().err
+
+    tree = tmp_path / "tree"
+    for name in ("disk", "bar"):
+        (tree / "test" / name).mkdir(parents=True)
+        chip = (synth / "disk" / "00000.pgm").read_bytes()
+        (tree / "test" / name / "0.pgm").write_bytes(chip)
+    assert run_command(["eval", "--model", str(ckpt), "--data", str(tree)]) == 0
+    assert "Test 1" in capsys.readouterr().out
+    assert run_command(["eval", "--model", str(ckpt), "--data", str(tree),
+                        "--split", "train"]) == 2
+    assert "no 'train' directory" in capsys.readouterr().err

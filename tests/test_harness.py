@@ -372,7 +372,7 @@ def test_config_typed_getters():
     with pytest.raises(cfgmod.ConfigFileError):
         cfgmod.get_int(cfg, "b")
     with pytest.raises(cfgmod.ConfigFileError):
-        cfgmod.get_str(cfg, "b", choices=("y", "z"))
+        cfgmod.resolve({"perturb.interpretation": "y"})
 
 
 def test_config_format_roundtrip():
