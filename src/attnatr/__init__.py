@@ -8,7 +8,7 @@ Phoenix-chip and synthetic-dataset IO, and an accuracy/robustness harness.
 from .tensor import Tensor, no_grad, relu, sigmoid, concat
 from .layers import (BatchNorm2d, Conv1d, Conv2d, Linear, SgdOptimizer,
                      conv1d_same, conv2d, global_pool, linear, pool2d,
-                     softmax, softmax_cross_entropy)
+                     softmax_cross_entropy)
 from .attention import CbamBlock, EcaBlock, SeBlock, eca_kernel_size, make_attention
 from .backbone import ModelConfig, ResNet, build_resnet18, desk_config
 from .explain import SaliencyMap, gradcam_map, overlay_heatmap
@@ -24,7 +24,7 @@ __all__ = [
     "Tensor", "no_grad", "relu", "sigmoid", "concat",
     "BatchNorm2d", "Conv1d", "Conv2d", "Linear", "SgdOptimizer",
     "conv1d_same", "conv2d", "global_pool", "linear", "pool2d",
-    "softmax", "softmax_cross_entropy",
+    "softmax_cross_entropy",
     "CbamBlock", "EcaBlock", "SeBlock", "eca_kernel_size", "make_attention",
     "ModelConfig", "ResNet", "build_resnet18", "desk_config",
     "SaliencyMap", "gradcam_map", "overlay_heatmap",

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .layers import (Conv1d, Conv2d, LayerError, Linear, Module, conv1d_same, conv2d,
-                     global_pool)
+from .layers import Conv1d, Conv2d, LayerError, Linear, Module, global_pool
 from .rng import SplitMix64
 from .tensor import Tensor, concat, relu, sigmoid
 
@@ -83,7 +82,7 @@ class EcaBlock(Module):
         _check_channels(self, u)
         n, c = u.shape[0], u.shape[1]
         z = global_pool("avg", u).reshape(n, c)
-        s = sigmoid(conv1d_same(z, self.conv.weight))
+        s = sigmoid(self.conv.forward(z))
         return u * s.reshape(n, c, 1, 1)
 
     def children(self):
@@ -130,8 +129,7 @@ class CbamBlock(Module):
         """Return (gates (N, 1, H, W), gated map)."""
         stats = concat([f_c.mean(axes=1, keepdims=True),
                         f_c.max(axes=1, keepdims=True)], axis=1)
-        m_s = sigmoid(conv2d(stats, self.spatial.weight, None,
-                             stride=1, padding=self.spatial.padding))
+        m_s = sigmoid(self.spatial.forward(stats))
         return m_s, m_s * f_c
 
     def forward(self, f: Tensor) -> Tensor:

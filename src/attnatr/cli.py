@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="base seed of the noise trials")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--split", help="split of a chip tree (default: test)")
+    p.add_argument("--split", default="test", help="split directory to evaluate")
     p.add_argument("--perturb-std", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=32)
@@ -119,11 +119,8 @@ def _cmd_eval(args) -> int:
     sigma = args.perturb_std
     if not 0 <= sigma < math.inf:
         raise UsageError(f"eval: --perturb-std must be finite and at least 0, got {sigma}")
-    if args.split is not None and (Path(args.data) / "manifest.tsv").is_file():
-        raise UsageError(f"eval: --split does not apply to {args.data}, a synth-gen "
-                         "directory of one split")
     model = load_model(args.model)
-    dataset = load_dataset(args.data, split=args.split or "test", size=model.cfg.input_size)
+    dataset = load_dataset(args.data, split=args.split, size=model.cfg.input_size)
     accs = []
     for trial in range(args.trials):
         ds = dataset
@@ -135,7 +132,7 @@ def _cmd_eval(args) -> int:
         else "ResNet-18"
     title = "Top-1 accuracy" if sigma == 0 \
         else f"Top-1 accuracy under N(0, sigma={sigma:.6f}) input perturbation"
-    report = format_report([TrialReport(tag, accs)], title=title, trials=len(accs))
+    report = format_report([TrialReport(tag, accs)], title=title)
     _emit(report, args.out)
     return 0
 
@@ -154,7 +151,7 @@ def _cmd_synth_gen(args) -> int:
     resolved = _resolved_config(args, {"data.per_class_train": per_class,
                                        "data.per_class_test": per_class})
     count = write_synth_dir(synth_config_from(resolved), args.out, split=args.split)
-    sys.stdout.write(f"wrote {count} images and manifest.tsv to {args.out}\n")
+    sys.stdout.write(f"wrote {count} images to {Path(args.out) / args.split}\n")
     return 0
 
 

@@ -16,9 +16,9 @@ class ConfigFileError(ValueError):
     pass
 
 
-# key: (default, type, choices or lower bound, doc).  An int must be at least
-# its bound, and a float finite and above it.  ModelConfig.validate checks the
-# model keys, so they have only a type here.
+# key: (default, type, choices or lower bound, doc).  A number must be at
+# least an int bound and above a float one, and a float must be finite.
+# ModelConfig.validate checks the model keys, so they have only a type here.
 SCHEMA = {
     "seed": ("7", int, None, "base seed of every stream"),
     "model.profile": ("desk", str, ("desk", "full"), "widths 4-32 (desk) or 64-512 (full)"),
@@ -34,7 +34,7 @@ SCHEMA = {
     "data.image_size": ("32", int, 1, "chip side in pixels; a model needs 32 or more"),
     "data.speckle_looks": ("1", int, 1, "looks averaged per speckle pixel"),
     "train.lr": ("0.05", float, 0.0, "SGD rate; train.* are desk defaults, not the study's"),
-    "train.momentum": ("0.9", float, None, "SGD momentum"),
+    "train.momentum": ("0.9", float, 0, "SGD momentum"),
     "train.batch_size": ("32", int, 2, "batchnorm needs two samples"),
     "train.epochs": ("15", int, 1, "epochs per trained model"),
     "perturb.mean": ("0", float, None, "mean of the input noise"),
@@ -124,7 +124,8 @@ def get(cfg, key):
     value = {int: get_int, float: get_float, str: get_str}[kind](cfg, key)
     if isinstance(limit, tuple) and value not in limit:
         raise ConfigFileError(f"config key {key!r}: {value!r} not in {limit}")
-    if isinstance(limit, (int, float)) and (value < limit if kind is int else value <= limit):
+    inclusive = isinstance(limit, int)
+    if isinstance(limit, (int, float)) and (value < limit if inclusive else value <= limit):
         raise ConfigFileError(f"config key {key!r}: must be "
-                              f"{'at least' if kind is int else 'above'} {limit}, got {value}")
+                              f"{'at least' if inclusive else 'above'} {limit}, got {value}")
     return value

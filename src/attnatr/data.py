@@ -41,12 +41,6 @@ class Dataset:
     def __len__(self):
         return len(self.images)
 
-    def histogram(self) -> list:
-        counts = [0] * len(self.class_names)
-        for img in self.images:
-            counts[img.label] += 1
-        return counts
-
 
 def minmax_normalize(values: np.ndarray) -> np.ndarray:
     """Scale into [0, 1]; a constant image maps to all zeros."""
@@ -83,12 +77,11 @@ _END_MARK = b"[EndofPhoenixHeader]"
 _REQUIRED_KEYS = ("NumberOfRows", "NumberOfColumns", "PhoenixHeaderLength")
 
 
-def parse_mstar_phoenix(data: bytes, size: int | None = None):
+def parse_mstar_phoenix(data: bytes):
     """Parse one Phoenix chip into (SarImage, header table).
 
     The payload is magnitude then phase, each rows x cols of big-endian
-    float32; phase is discarded.  The magnitude plane is min-max normalized
-    and, when ``size`` is given, center-cropped or zero-padded.
+    float32; phase is discarded.  The magnitude plane is min-max normalized.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise PhoenixError("phoenix parser expects bytes")
@@ -131,10 +124,7 @@ def parse_mstar_phoenix(data: bytes, size: int | None = None):
     plane = rows * cols * 4
     magnitude = np.frombuffer(data[offset:offset + plane], dtype=">f4")
     magnitude = magnitude.astype(np.float64).reshape(rows, cols)
-    norm = minmax_normalize(magnitude)
-    if size is not None:
-        norm = center_crop_or_pad(norm, size)
-    return SarImage(norm, label=-1), header
+    return SarImage(minmax_normalize(magnitude), label=-1), header
 
 
 def write_phoenix(magnitude: np.ndarray, extra_header: dict | None = None) -> bytes:
@@ -256,8 +246,10 @@ class SynthConfig:
     seed: int = 0
 
     def class_names(self) -> list:
-        return [_TEMPLATE_NAMES[i % len(_TEMPLATE_NAMES)] + (
-            "" if i < len(_TEMPLATE_NAMES) else str(i)) for i in range(self.num_classes)]
+        """``<id>_<template>``, the id zero-padded so that name order is id order."""
+        width, kinds = len(str(self.num_classes - 1)), len(_TEMPLATE_NAMES)
+        return [f"{i:0{width}d}_{_TEMPLATE_NAMES[i % kinds]}{i // kinds or ''}"
+                for i in range(self.num_classes)]
 
 
 def _template_mask(class_id: int, size: int, cy: float, cx: float,
@@ -311,38 +303,26 @@ def synth_sample(cfg: SynthConfig, class_id: int, seed: int) -> SarImage:
                     source=f"synth:{class_id}:{seed:016x}")
 
 
-def _synth_chips(cfg: SynthConfig, split: str) -> list:
-    """(class id, stream seed) of each chip of a split, ordered by (class, index)."""
+def synth_dataset(cfg: SynthConfig, split: str) -> Dataset:
+    """Generate the full train or test split, ordered by (class, index)."""
     if split not in ("train", "test"):
         raise DatasetError(f"unknown split {split!r}")
     per_class = cfg.per_class_train if split == "train" else cfg.per_class_test
-    return [(class_id, derive_seed(cfg.seed, "synth", split, class_id, index))
-            for class_id in range(cfg.num_classes) for index in range(per_class)]
-
-
-def synth_dataset(cfg: SynthConfig, split: str) -> Dataset:
-    """Generate the full train or test split, ordered by (class, index)."""
-    images = [synth_sample(cfg, class_id, seed) for class_id, seed in _synth_chips(cfg, split)]
+    images = [synth_sample(cfg, class_id, derive_seed(cfg.seed, "synth", split, class_id, index))
+              for class_id in range(cfg.num_classes) for index in range(per_class)]
     return Dataset(images, cfg.class_names(), split)
 
 
-def synth_manifest(cfg: SynthConfig, split: str) -> str:
-    """One line per image: index, class id, class name, stream seed."""
-    names = cfg.class_names()
-    lines = [f"{index}\t{class_id}\t{names[class_id]}\t{seed:016x}"
-             for index, (class_id, seed) in enumerate(_synth_chips(cfg, split))]
-    return "\n".join(lines) + "\n"
-
-
 def write_synth_dir(cfg: SynthConfig, out_dir, split: str = "test") -> int:
-    """Materialize a split as PGM files plus a manifest; returns image count."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write a split as the chip tree ``load_dataset`` reads,
+    ``<out_dir>/<split>/<class>/<index>.pgm``; returns the image count."""
+    split_dir = Path(out_dir) / split
+    if split_dir.exists():
+        raise DatasetError(f"{split_dir} already exists; its chips would mix with new ones")
     ds = synth_dataset(cfg, split)
-    (out / "manifest.tsv").write_text(synth_manifest(cfg, split))
     for index, img in enumerate(ds.images):
-        cls_dir = out / ds.class_names[img.label]
-        cls_dir.mkdir(exist_ok=True)
+        cls_dir = split_dir / ds.class_names[img.label]
+        cls_dir.mkdir(parents=True, exist_ok=True)
         write_image("pgm", cls_dir / f"{index:05d}.pgm", img.magnitude)
     return len(ds)
 
@@ -351,40 +331,14 @@ def write_synth_dir(cfg: SynthConfig, out_dir, split: str = "test") -> int:
 # directory loading
 
 
-def _load_manifest_dir(root: Path, size: int | None) -> Dataset:
-    entries = []
-    for lineno, line in enumerate((root / "manifest.tsv").read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DatasetError(f"malformed manifest line: {line!r}")
-        try:
-            index, class_id = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetError(
-                f"manifest.tsv line {lineno}: non-integer index or class id in {line!r}"
-            ) from None
-        if class_id < 0:
-            raise DatasetError(f"manifest line {lineno}: negative class id in {line!r}")
-        entries.append((index, class_id, parts[2]))
-    class_names: list[str] = []
-    for _, class_id, name in entries:
-        while len(class_names) <= class_id:
-            class_names.append("")
-        class_names[class_id] = name
-    images = []
-    for index, class_id, name in entries:
-        path = root / name / f"{index:05d}.pgm"
-        try:
-            pixels = read_chip(path, size)
-        except ImageIoError as exc:
-            raise DatasetError(f"unreadable file {path}: {exc}") from exc
-        images.append(SarImage(pixels, class_id, source=str(path)))
-    return Dataset(images, class_names, split="manifest")
-
-
-def _load_class_tree(root: Path, split: str, size: int | None) -> Dataset:
+def load_dataset(source, split: str = "train", size: int | None = None) -> Dataset:
+    """Load a ``<split>/<class>/<chip>`` tree of Phoenix chips or PGMs, as
+    ``synth-gen`` writes it.  Classes are labelled, and chips ordered, by
+    lexicographic path.
+    """
+    root = Path(source)
+    if not root.is_dir():
+        raise DatasetError(f"dataset directory {root} does not exist")
     split_dir = root / split
     if not split_dir.is_dir():
         raise DatasetError(f"no {split!r} directory under {root}")
@@ -405,19 +359,3 @@ def _load_class_tree(root: Path, split: str, size: int | None) -> Dataset:
                 raise DatasetError(f"unreadable file {path}: {exc}") from exc
             images.append(SarImage(pixels, label, source=str(path)))
     return Dataset(images, class_names, split)
-
-
-def load_dataset(source, split: str = "train", size: int | None = None) -> Dataset:
-    """Load a dataset directory.
-
-    It is either a synth-gen output (manifest.tsv plus class subdirectories
-    of PGMs) or a chip tree laid out <split>/<class>/<files> where files are
-    Phoenix chips or PGMs.  Ordering is stable: manifest order, or
-    lexicographic by path.
-    """
-    root = Path(source)
-    if not root.is_dir():
-        raise DatasetError(f"dataset directory {root} does not exist")
-    if (root / "manifest.tsv").is_file():
-        return _load_manifest_dir(root, size)
-    return _load_class_tree(root, split, size)

@@ -88,6 +88,10 @@ def top1_accuracy(model: ResNet, dataset: Dataset, batch_size: int = 32) -> floa
         raise HarnessError("cannot evaluate on an empty dataset")
     if batch_size < 1:
         raise HarnessError(f"batch size must be at least 1, got {batch_size}")
+    label = max(img.label for img in dataset.images)
+    if label >= model.cfg.num_classes:
+        raise HarnessError(f"label {label} is out of range for a model of "
+                           f"{model.cfg.num_classes} classes")
     hits = 0
     with no_grad():
         for start in range(0, len(dataset), batch_size):
@@ -144,25 +148,21 @@ class TrialReport:
     trials: list  # per-trial accuracies as fractions
     baseline_tag: str | None = None
 
-    @property
-    def mean(self) -> float:
-        return float(sum(self.trials) / len(self.trials))
-
 
 def _pct(fraction) -> Decimal:
     return Decimal(repr(float(fraction) * 100.0)).quantize(
         Decimal("0.01"), rounding=ROUND_HALF_EVEN)
 
 
-def format_report(reports: list, title: str = "", trials: int | None = None) -> str:
+def format_report(reports: list, title: str = "") -> str:
     """Render TrialReports as a fixed-width Table-I-style text table.
 
-    Per-test cells are percentages rounded half-even to two decimals; the
-    Average column is the mean of the printed per-test values under the same
-    rounding; deltas compare printed averages against the baseline row.
+    There is one Test column per trial of the longest row.  Per-test cells
+    are percentages rounded half-even to two decimals; the Average column is
+    the mean of the printed per-test values under the same rounding; deltas
+    compare printed averages against the baseline row.
     """
-    if trials is None:
-        trials = len(reports[0].trials) if reports else 3
+    trials = max((len(rep.trials) for rep in reports), default=0)
     header = ["Model"] + [f"Test {i + 1}" for i in range(trials)] + ["Average"]
 
     printed_avg: dict[str, Decimal] = {}
@@ -182,7 +182,8 @@ def format_report(reports: list, title: str = "", trials: int | None = None) -> 
                 and rep.baseline_tag != rep.tag:
             delta = avg - printed_avg[rep.baseline_tag]
             avg_text += f" ({'+' if delta >= 0 else '-'}{abs(delta)}%)"
-        table.append([rep.tag] + [f"{c}%" for c in cells] + [avg_text])
+        padding = [""] * (trials - len(cells))
+        table.append([rep.tag] + [f"{c}%" for c in cells] + padding + [avg_text])
 
     widths = [len(h) for h in header]
     for row in table:
@@ -293,21 +294,17 @@ class ProtocolResult:
     checkpoints: dict = field(default_factory=dict)  # (variant, trial) -> bytes
 
     def render(self) -> str:
-        trials = cfgmod.get(self.resolved, "protocol.trials")
         sigma = perturb_spec_from(self.resolved).sigma()
-        parts = ["== Resolved config ==",
-                 cfgmod.format_config(self.resolved),
-                 "== Top-1 accuracy ==",
-                 format_report(self.clean, trials=trials)]
-        if self.perturbed:
-            parts += [f"== Top-1 accuracy under N({self.resolved['perturb.mean']}, "
-                      f"sigma={sigma:.6f}) input perturbation ==",
-                      format_report(self.perturbed, trials=trials)]
-        return "\n".join(parts)
+        return "\n".join(["== Resolved config ==",
+                          cfgmod.format_config(self.resolved),
+                          "== Top-1 accuracy ==",
+                          format_report(self.clean),
+                          f"== Top-1 accuracy under N({self.resolved['perturb.mean']}, "
+                          f"sigma={sigma:.6f}) input perturbation ==",
+                          format_report(self.perturbed)])
 
 
-def run_protocol(cfg: dict | None, variants, trials: int,
-                 with_perturbed: bool = True, out_dir=None) -> ProtocolResult:
+def run_protocol(cfg: dict | None, variants, trials: int, out_dir=None) -> ProtocolResult:
     """Train and evaluate each attention variant over seeded trials.
 
     Trial t of any variant uses seed base_seed + t for both parameter
@@ -338,15 +335,14 @@ def run_protocol(cfg: dict | None, variants, trials: int,
             context = f"variant {variant!r} trial {trial + 1}"
             model, _ = train_variant(resolved, variant, seed, train_ds, context)
             clean_accs.append(top1_accuracy(model, test_ds, batch_size))
-            if with_perturbed:
-                noisy = perturb_dataset(
-                    test_ds, replace(spec, seed=derive_seed(spec.seed, variant, trial)))
-                noisy_model = model
-                if fresh_perturbed:
-                    noisy_model, _ = train_variant(
-                        resolved, variant, derive_seed(seed, "perturbed-model"),
-                        train_ds, f"{context} (perturbed-eval model)")
-                noisy_accs.append(top1_accuracy(noisy_model, noisy, batch_size))
+            noisy = perturb_dataset(
+                test_ds, replace(spec, seed=derive_seed(spec.seed, variant, trial)))
+            noisy_model = model
+            if fresh_perturbed:
+                noisy_model, _ = train_variant(
+                    resolved, variant, derive_seed(seed, "perturbed-model"),
+                    train_ds, f"{context} (perturbed-eval model)")
+            noisy_accs.append(top1_accuracy(noisy_model, noisy, batch_size))
             result.checkpoints[(variant, trial)] = dump_tensors(model.named_state())
             if out_dir is not None:
                 out = Path(out_dir)
@@ -354,6 +350,5 @@ def run_protocol(cfg: dict | None, variants, trials: int,
                 save_model(out / f"{variant}_t{trial + 1}.ckpt", model)
         tag_base = baseline if variant != baseline else None
         result.clean.append(TrialReport(variant, clean_accs, baseline_tag=tag_base))
-        if with_perturbed:
-            result.perturbed.append(TrialReport(variant, noisy_accs, baseline_tag=tag_base))
+        result.perturbed.append(TrialReport(variant, noisy_accs, baseline_tag=tag_base))
     return result

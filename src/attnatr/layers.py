@@ -491,12 +491,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return apply_op("softmax_xent", loss, (logits,), back)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 

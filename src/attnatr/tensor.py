@@ -120,10 +120,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -138,18 +134,12 @@ class Tensor:
                        lambda a, b: a - b,
                        lambda g, a, b: (g, -g))
 
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
     def __mul__(self, other):
         return _binary("mul", self, other,
                        lambda a, b: a * b,
                        lambda g, a, b: (g * b, g * a))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return apply_op("neg", -self.data, (self,), lambda g: (-g,))
 
     def __pow__(self, p):
         p = float(p)

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from attnatr import config as cfgmod
 from attnatr.cli import run_command
 from attnatr.data import write_phoenix
 from attnatr.harness import run_protocol
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -50,10 +55,11 @@ def test_synth_gen_writes_manifest_and_images(tmp_path, capsys):
     status = run_command(["synth-gen", "--out", str(out), "--classes", "3",
                           "--per-class", "50", "--seed", "7"])
     assert status == 0
-    assert (out / "manifest.tsv").is_file()
-    pgms = list(out.rglob("*.pgm"))
+    pgms = sorted(out.rglob("*.pgm"))
     assert len(pgms) == 150
-    assert "150 images" in capsys.readouterr().out
+    assert pgms[0] == out / "test" / "0_disk" / "00000.pgm"
+    assert pgms[-1] == out / "test" / "2_cross" / "00149.pgm"
+    assert f"wrote 150 images to {out / 'test'}" in capsys.readouterr().out
 
 
 def test_train_eval_gradcam_pipeline(tmp_path, small_cfg, capsys):
@@ -76,7 +82,7 @@ def test_train_eval_gradcam_pipeline(tmp_path, small_cfg, capsys):
     assert "Test 1" in out and "Test 3" in out and "Average" in out
     assert "perturbation" in out
 
-    image = next((data_dir / "disk").glob("*.pgm"))
+    image = next((data_dir / "test" / "0_disk").glob("*.pgm"))
     cam = tmp_path / "cam.ppm"
     status = run_command(["gradcam", "--model", str(ckpt), "--image", str(image),
                           "--class", "2", "--out", str(cam)])
@@ -165,7 +171,7 @@ def test_train_out_checkpoint_is_the_protocol_trial(tmp_path, small_cfg, capsys)
     ckpt = tmp_path / "m.ckpt"
     assert run_command(["train", "--config", small_cfg, "--attention", "se",
                         "--out", str(ckpt)]) == 0
-    result = run_protocol(cfgmod.load_config(small_cfg), ["se"], 1, with_perturbed=False)
+    result = run_protocol(cfgmod.load_config(small_cfg), ["se"], 1)
     assert ckpt.read_bytes() == result.checkpoints[("se", 0)]
 
 
@@ -200,7 +206,7 @@ def test_gradcam_bad_class_is_runtime_error(tmp_path, small_cfg, capsys):
     data_dir = tmp_path / "d"
     assert run_command(["synth-gen", "--out", str(data_dir), "--classes", "3",
                         "--per-class", "2"]) == 0
-    image = next((data_dir / "disk").glob("*.pgm"))
+    image = next((data_dir / "test" / "0_disk").glob("*.pgm"))
     status = run_command(["gradcam", "--model", str(ckpt), "--image", str(image),
                           "--class", "9", "--out", str(tmp_path / "cam.ppm")])
     assert status == 2
@@ -219,7 +225,8 @@ def test_gradcam_bad_class_is_runtime_error(tmp_path, small_cfg, capsys):
     (["train", "--out", "m.ckpt"], "train.lr = inf", "train.lr"),
     (["synth-gen", "--out", "d", "--classes", "0"], None, "data.classes"),
     (["synth-gen", "--out", "d", "--per-class", "-1"], None, "data.per_class_train"),
-    (["synth-gen", "--out", "d", "--looks", "0"], None, "data.speckle_looks")])
+    (["synth-gen", "--out", "d", "--looks", "0"], None, "data.speckle_looks"),
+    (["train", "--out", "m.ckpt"], "train.momentum = -3", "train.momentum")])
 def test_bad_config_values_fail_before_any_data(tmp_path, small_cfg, capsys, monkeypatch,
                                                 argv, setting, key):
     def no_data(*args, **kwargs):
@@ -268,19 +275,53 @@ def test_eval_split_applies_only_to_a_chip_tree(tmp_path, small_cfg, capsys):
     assert run_command(["synth-gen", "--out", str(synth), "--per-class", "2",
                         "--split", "train"]) == 0
     capsys.readouterr()
+    assert run_command(["eval", "--model", str(ckpt), "--data", str(synth),
+                        "--split", "train"]) == 0
+    assert "Test 1" in capsys.readouterr().out
     for split in ("test", "bogus"):
-        status = run_command(["eval", "--model", str(ckpt), "--data", str(synth),
-                              "--split", split])
-        assert status == 1
-        assert "--split" in capsys.readouterr().err
+        assert run_command(["eval", "--model", str(ckpt), "--data", str(synth),
+                            "--split", split]) == 2
+        assert f"no {split!r} directory" in capsys.readouterr().err
 
     tree = tmp_path / "tree"
     for name in ("disk", "bar"):
         (tree / "test" / name).mkdir(parents=True)
-        chip = (synth / "disk" / "00000.pgm").read_bytes()
+        chip = (synth / "train" / "0_disk" / "00000.pgm").read_bytes()
         (tree / "test" / name / "0.pgm").write_bytes(chip)
     assert run_command(["eval", "--model", str(ckpt), "--data", str(tree)]) == 0
     assert "Test 1" in capsys.readouterr().out
     assert run_command(["eval", "--model", str(ckpt), "--data", str(tree),
                         "--split", "train"]) == 2
     assert "no 'train' directory" in capsys.readouterr().err
+
+
+def test_eval_rejects_labels_beyond_the_model_classes(tmp_path, small_cfg, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
+    data_dir = tmp_path / "d"
+    assert run_command(["synth-gen", "--out", str(data_dir), "--classes", "5",
+                        "--per-class", "1"]) == 0
+    capsys.readouterr()
+    assert run_command(["eval", "--model", str(ckpt), "--data", str(data_dir)]) == 2
+    assert "label 4 is out of range for a model of 3 classes" in capsys.readouterr().err
+
+
+def test_synth_gen_refuses_an_existing_split(tmp_path, capsys):
+    argv = ["synth-gen", "--out", str(tmp_path), "--per-class", "1"]
+    assert run_command(argv) == 0
+    assert run_command(argv + ["--split", "train"]) == 0
+    capsys.readouterr()
+    assert run_command(argv + ["--classes", "2"]) == 2
+    assert "already exists" in capsys.readouterr().err
+    assert len(list(tmp_path.rglob("*.pgm"))) == 6
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```\n", 2)[1]
+    commands = {line.split()[1]: shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("attnatr ")}
+    monkeypatch.chdir(tmp_path)
+    assert run_command(commands["synth-gen"]) == 0
+    gradcam = commands["gradcam"]
+    assert Path(gradcam[gradcam.index("--image") + 1]).is_file()

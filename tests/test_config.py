@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from attnatr import config as cfgmod
 from attnatr.attention import ATTENTION_KINDS
 from attnatr.backbone import INSERTION_MODES, ConfigError
-from attnatr.harness import (model_config_from, perturb_spec_from, synth_config_from,
-                             train_settings_from)
+from attnatr.harness import (ProtocolResult, model_config_from, perturb_spec_from,
+                             synth_config_from, train_settings_from)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,7 +42,7 @@ def _schema_line(key, default, kind, limit, doc):
     if isinstance(limit, tuple):
         doc = " | ".join(limit) + "; " + doc
     elif limit is not None:
-        doc = f"{'>=' if kind is int else '>'} {limit}; {doc}"
+        doc = f"{'>=' if isinstance(limit, int) else '>'} {limit}; {doc}"
     return f"{key} = {default}", doc
 
 
@@ -77,5 +77,6 @@ def test_random_config_text_fails_only_with_config_errors(lines, junk):
         synth_config_from(cfg)
         train_settings_from(cfg)
         perturb_spec_from(cfg).sigma()
+        ProtocolResult(cfg).render()
     except (cfgmod.ConfigFileError, ConfigError):
         pass

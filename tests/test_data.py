@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from attnatr.data import (Dataset, DatasetError, ImageIoError, PhoenixError,
-                          SarImage, SynthConfig, center_crop_or_pad, load_dataset,
-                          minmax_normalize, parse_mstar_phoenix, read_pgm,
-                          synth_dataset, synth_manifest, synth_sample,
-                          write_image, write_phoenix, write_synth_dir)
+from attnatr.data import (DatasetError, ImageIoError, PhoenixError, SynthConfig,
+                          center_crop_or_pad, load_dataset, minmax_normalize,
+                          parse_mstar_phoenix, read_chip, read_pgm, synth_dataset,
+                          synth_sample, write_image, write_phoenix, write_synth_dir)
 from attnatr.rng import SplitMix64, derive_seed
 
 
@@ -55,11 +54,11 @@ def test_phoenix_non_integer_geometry():
         parse_mstar_phoenix(text.encode())
 
 
-def test_phoenix_crop_and_pad():
-    img, _ = parse_mstar_phoenix(write_phoenix(np.eye(6)), size=4)
-    assert img.magnitude.shape == (4, 4)
-    img, _ = parse_mstar_phoenix(write_phoenix(np.eye(2)), size=4)
-    assert img.magnitude.shape == (4, 4)
+def test_phoenix_crop_and_pad(tmp_path):
+    chip = tmp_path / "chip.raw"
+    for side in (6, 2):
+        chip.write_bytes(write_phoenix(np.eye(side)))
+        assert read_chip(chip, 4).shape == (4, 4)
 
 
 def test_phoenix_fuzz_smoke():
@@ -192,7 +191,7 @@ def test_synth_values_stay_in_unit_interval():
 def test_synth_dataset_histogram():
     ds = synth_dataset(SynthConfig(per_class_train=100, seed=3), "train")
     assert len(ds) == 300
-    assert ds.histogram() == [100, 100, 100]
+    assert [img.label for img in ds.images] == [0] * 100 + [1] * 100 + [2] * 100
 
 
 def test_synth_dataset_reproducible():
@@ -210,28 +209,17 @@ def test_synth_train_test_disjoint():
     assert all(img.magnitude.tobytes() not in train_bytes for img in test.images)
 
 
-def test_synth_manifest_format():
-    cfg = SynthConfig(num_classes=2, per_class_test=3, seed=9)
-    lines = synth_manifest(cfg, "test").splitlines()
-    assert len(lines) == 6
-    first = lines[0].split("\t")
-    assert first[0] == "0" and first[1] == "0" and first[2] == "disk"
-    assert len(first[3]) == 16  # hex stream seed
-    int(first[3], 16)
-
-
-@pytest.mark.parametrize("make", [synth_dataset, synth_manifest])
+@pytest.mark.parametrize("make", [synth_dataset])
 def test_synth_rejects_unknown_split(make):
     with pytest.raises(DatasetError, match="unknown split 'bogus'"):
         make(SynthConfig(per_class_test=2), "bogus")
 
 
-def test_synth_manifest_rows_name_the_dataset_chips():
-    cfg = SynthConfig(num_classes=3, per_class_train=2, seed=4)
-    rows = [line.split("\t") for line in synth_manifest(cfg, "train").splitlines()]
-    chips = synth_dataset(cfg, "train").images
-    assert [f"synth:{r[1]}:{r[3]}" for r in rows] == [img.source for img in chips]
-    assert synth_manifest(SynthConfig(per_class_test=0), "test") == "\n"
+def test_synth_class_names_sort_in_class_id_order():
+    assert SynthConfig(num_classes=3).class_names() == ["0_disk", "1_bar", "2_cross"]
+    names = SynthConfig(num_classes=12).class_names()
+    assert names[0] == "00_disk" and names[5] == "05_disk1" and names[11] == "11_bar2"
+    assert sorted(names) == names
 
 
 def test_synth_class_id_validation():
@@ -247,10 +235,10 @@ def test_write_and_load_synth_dir(tmp_path):
     cfg = SynthConfig(num_classes=3, per_class_test=4, seed=13)
     count = write_synth_dir(cfg, tmp_path / "d", split="test")
     assert count == 12
-    assert (tmp_path / "d" / "manifest.tsv").is_file()
-    ds = load_dataset(tmp_path / "d")
+    assert (tmp_path / "d" / "test" / "0_disk" / "00000.pgm").is_file()
+    ds = load_dataset(tmp_path / "d", "test")
     assert len(ds) == 12
-    assert ds.histogram() == [4, 4, 4]
+    assert [img.label for img in ds.images] == [0] * 4 + [1] * 4 + [2] * 4
     # pixel data survives the PGM quantization round trip
     direct = synth_dataset(cfg, "test")
     worst = max(np.abs(a.magnitude - b.magnitude).max()
@@ -258,32 +246,18 @@ def test_write_and_load_synth_dir(tmp_path):
     assert worst <= 0.5 / 255.0
 
 
-@pytest.mark.parametrize("row", [0, 2])
-def test_manifest_rejects_negative_class_id(tmp_path, row):
-    write_synth_dir(SynthConfig(num_classes=3, per_class_test=2, seed=13),
-                    tmp_path / "d", split="test")
-    manifest = tmp_path / "d" / "manifest.tsv"
-    lines = manifest.read_text().splitlines()
-    fields = lines[row].split("\t")
-    fields[1] = "-1"
-    lines[row] = "\t".join(fields)
-    manifest.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetError, match=f"line {row + 1}: negative class id"):
-        load_dataset(tmp_path / "d")
-
-
-@pytest.mark.parametrize("row, field", [(0, 1), (2, 0)])
-def test_manifest_rejects_non_integer_field(tmp_path, row, field):
-    write_synth_dir(SynthConfig(num_classes=3, per_class_test=2, seed=13),
-                    tmp_path / "d", split="test")
-    manifest = tmp_path / "d" / "manifest.tsv"
-    lines = manifest.read_text().splitlines()
-    fields = lines[row].split("\t")
-    fields[field] = "x"
-    lines[row] = "\t".join(fields)
-    manifest.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetError, match=f"manifest.tsv line {row + 1}: non-integer"):
-        load_dataset(tmp_path / "d")
+@pytest.mark.parametrize("num_classes", [3, 12])
+def test_synth_dir_round_trip_keeps_both_splits(tmp_path, num_classes):
+    cfg = SynthConfig(num_classes=num_classes, per_class_train=3, per_class_test=2, seed=13)
+    for split in ("train", "test"):
+        write_synth_dir(cfg, tmp_path, split)
+    for split in ("train", "test"):
+        loaded, direct = load_dataset(tmp_path, split), synth_dataset(cfg, split)
+        assert loaded.class_names == direct.class_names and loaded.split == split
+        assert [img.label for img in loaded.images] == [img.label for img in direct.images]
+        worst = max(np.abs(a.magnitude - b.magnitude).max()
+                    for a, b in zip(loaded.images, direct.images))
+        assert worst <= 0.5 / 255.0
 
 
 def test_load_class_tree_with_phoenix(tmp_path):
