@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .attention import ATTENTION_KINDS, make_attention
 from .layers import BatchNorm2d, Conv2d, LayerError, Linear, Module, global_pool, pool2d
-from .rng import SplitMix64
+from .rng import SplitMix64, ZeroStream
 from .tensor import Tensor, no_grad, relu
 
 INSERTION_MODES = ("in_block", "residual_wrap")
@@ -124,11 +124,11 @@ class BasicBlock(Module):
 class ResNet(Module):
     """The assembled classifier; build via :func:`build_resnet18`."""
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    def __init__(self, cfg: ModelConfig, seed: int, init: bool = True):
         cfg.validate()
         self.cfg = cfg
         self.seed = seed
-        rng = SplitMix64(seed)
+        rng = SplitMix64(seed) if init else ZeroStream()
         w = cfg.stage_widths
         self.stem_conv = Conv2d(cfg.in_channels, w[0], 7, stride=2, padding=3,
                                 bias=False, rng=rng.split("stem"))
@@ -211,6 +211,7 @@ def _run(steps, h: Tensor, mode: str) -> Tensor:
     return h
 
 
-def build_resnet18(cfg: ModelConfig, seed: int) -> ResNet:
-    """Validate the config and build a deterministically initialized model."""
-    return ResNet(cfg, seed)
+def build_resnet18(cfg: ModelConfig, seed: int, init: bool = True) -> ResNet:
+    """Validate the config and build a model initialized from ``seed``, or
+    with ``init=False`` a zero one that draws nothing, for a caller that loads every value."""
+    return ResNet(cfg, seed, init)

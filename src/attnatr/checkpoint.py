@@ -37,7 +37,7 @@ def dump_tensors(named) -> bytes:
         chunks.append(encoded)
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr).astype("<f8").tobytes())
+        chunks.append(arr.astype("<f8", copy=False).tobytes())  # C order
     return b"".join(chunks)
 
 
@@ -47,6 +47,7 @@ def parse_tensors(data: bytes) -> dict[str, np.ndarray]:
         raise CheckpointError(
             f"bad checkpoint magic {data[:8]!r}, expected {MAGIC!r}")
     out: dict[str, np.ndarray] = {}
+    view = memoryview(data)  # slices share the buffer; astype copies each tensor once
     pos = 8
     n = len(data)
 
@@ -56,14 +57,14 @@ def parse_tensors(data: bytes) -> dict[str, np.ndarray]:
             raise CheckpointError(
                 f"truncated checkpoint: needed {count} bytes for {what} "
                 f"at offset {pos}, only {n - pos} left")
-        chunk = data[pos:pos + count]
+        chunk = view[pos:pos + count]
         pos += count
         return chunk
 
     while pos < n:
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         try:
-            name = take(name_len, "name").decode("utf-8")
+            name = str(take(name_len, "name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"tensor name at offset {pos} is not UTF-8: {exc}") \
                 from exc

@@ -268,7 +268,8 @@ def save_model(path, model: ResNet):
 
 
 def load_model(path) -> ResNet:
-    """Rebuild a model from a checkpoint and its topology sidecar."""
+    """Rebuild a model from a checkpoint and its topology sidecar, skipping
+    the init draws: the checkpoint overwrites every value."""
     sidecar_path = Path(str(path) + ".cfg")
     if not sidecar_path.is_file():
         raise HarnessError(
@@ -277,7 +278,7 @@ def load_model(path) -> ResNet:
     side = cfgmod.parse_config(sidecar_path.read_text())
     cfg = ModelConfig(**{f.name: _SIDECAR_GETTERS[type(f.default)](side, f"model.{f.name}")
                          for f in fields(ModelConfig)})
-    model = build_resnet18(cfg, seed=cfgmod.get_int(side, "model.seed"))
+    model = build_resnet18(cfg, seed=cfgmod.get_int(side, "model.seed"), init=False)
     model.load_state(load_checkpoint(path))
     return model
 

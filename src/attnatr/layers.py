@@ -1,9 +1,11 @@
 """Convolution, pooling, linear, batchnorm, loss, and SGD.
 
 Convolutions use cross-correlation semantics (no kernel flip) and are
-lowered to matrix products over an im2col layout; the naive-loop oracle in
-the test suite pins the semantics.  All layers are float64 and differentiable
-through the tensor tape.
+lowered to matrix products over an im2col layout, gathered by one ``np.take``
+through a read-only offset index; a bounded ``lru_cache`` (thread-safe)
+keeps one index per input and kernel shape.  The naive-loop oracles in the
+test suite pin the semantics and the patch bytes.  All layers are float64
+and differentiable through the tensor tape.
 
 Parameter initialization: weights uniform in +/- sqrt(1/fan_in), biases zero,
 batchnorm scale 1 / shift 0, drawn from a caller-supplied SplitMix64 stream
@@ -14,6 +16,8 @@ running-stat updates mutate state and need exclusive access.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -120,13 +124,21 @@ def _pad(a: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(c, hp, wp, kh, kw, sh, sw, oh, ow) -> np.ndarray:
+    """Read-only (oh*ow, C*kh*kw) offsets of each patch in a flat (C, Hp, Wp) image."""
+    taps = np.arange(c)[:, None, None] * (hp * wp) + np.arange(kh)[:, None] * wp + np.arange(kw)
+    starts = np.arange(oh)[:, None] * (sh * wp) + np.arange(ow) * sw
+    index = starts.reshape(-1, 1) + taps.reshape(1, -1)
+    index.setflags(write=False)
+    return index
+
+
 def _im2col(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
-    """(N, C, Hp, Wp) -> (N, oh*ow, C*kh*kw) patch matrix."""
-    n, c = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]  # (N, C, oh, ow, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    """(N, C, Hp, Wp) -> (N, oh*ow, C*kh*kw) patch matrix, columns in (C, kh, kw) order."""
+    n, c, hp, wp = xp.shape
+    index = _patch_index(c, hp, wp, kh, kw, sh, sw, oh, ow)
+    return np.take(xp.reshape(n, -1), index, axis=1, mode="clip")  # in range: no check
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -400,7 +412,8 @@ class BatchNorm2d(Module):
     Each forward is one ``batchnorm`` tape node over (x, gamma, beta) whose
     backward replays, op for op, the arithmetic of the same layer composed
     from primitive tensor ops, so the bytes match that primitive graph (the
-    closed-form gradient would round differently).
+    closed-form gradient would round differently).  Forward writes in place
+    only into arrays it allocated itself, never into its input or state.
     """
 
     param_names = ("gamma", "beta")
@@ -436,10 +449,11 @@ class BatchNorm2d(Module):
             m = self.momentum
             self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
             self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
+            normed = centered * inv
         else:
-            centered = xd - self.running_mean.reshape(stat)
             inv = ((self.running_var + self.eps) ** -0.5).reshape(stat)
-        normed = centered * inv
+            normed = xd - self.running_mean.reshape(stat)
+            normed *= inv
         count = float(xd.size // c)
 
         def back(g):
@@ -455,7 +469,8 @@ class BatchNorm2d(Module):
             return (gx, _unbroadcast(g * normed, stat).reshape(c),
                     _unbroadcast(g, stat).reshape(c))
 
-        out = normed * gamma + self.beta.data.reshape(stat)
+        out = normed * gamma
+        out += self.beta.data.reshape(stat)
         return apply_op("batchnorm", out, (x, self.gamma, self.beta), back)
 
 

@@ -127,3 +127,13 @@ class SplitMix64:
     def split(self, *parts) -> "SplitMix64":
         """Fresh stream keyed off this stream's seed and a key path."""
         return SplitMix64(derive_seed(self.seed, *parts))
+
+
+class ZeroStream:
+    """A root stream that draws nothing: ``split`` returns it, ``uniform`` zeros."""
+
+    def split(self, *parts) -> "ZeroStream":
+        return self
+
+    def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        return np.zeros(shape)

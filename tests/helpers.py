@@ -115,6 +115,24 @@ def conv2d_naive(x, w, b=None, stride=(1, 1), padding=(0, 0)):
     return out
 
 
+def im2col_naive(xp, kh, kw, sh, sw):
+    """Patch matrix of a padded (N, C, Hp, Wp) array, one output position at a time.
+
+    Row ``oi * ow + oj`` of image ``ni`` is the (C, kh, kw) window at that
+    position, flattened row-major.
+    """
+    n, c, hp, wp = xp.shape
+    oh = (hp - kh) // sh + 1
+    ow = (wp - kw) // sw + 1
+    out = np.empty((n, oh * ow, c * kh * kw))
+    for ni in range(n):
+        for oi in range(oh):
+            for oj in range(ow):
+                out[ni, oi * ow + oj] = \
+                    xp[ni, :, oi * sh:oi * sh + kh, oj * sw:oj * sw + kw].reshape(-1)
+    return out
+
+
 def pool2d_naive(kind, x, window, stride, padding=(0, 0)):
     """Direct windowed pooling reference (zero/-inf padding to match)."""
     n, c, h, w = x.shape

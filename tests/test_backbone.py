@@ -7,9 +7,10 @@ from attnatr.attention import eca_kernel_size
 from attnatr.backbone import (BasicBlock, ConfigError, ModelConfig, build_resnet18,
                               desk_config)
 from attnatr.checkpoint import dump_tensors
-from attnatr.layers import BatchNorm2d, LayerError
+from attnatr.explain import gradcam_map
+from attnatr.layers import BatchNorm2d, LayerError, SgdOptimizer, softmax_cross_entropy
 from attnatr.rng import SplitMix64
-from attnatr.tensor import Tensor
+from attnatr.tensor import Tensor, no_grad
 from helpers import check_gradients
 
 
@@ -126,6 +127,75 @@ def test_checkpoint_names_and_bytes_are_pinned(attention, depth, insertion):
     got = (model.num_params(), hashlib.sha256(names).hexdigest(),
            hashlib.sha256(dump_tensors(state)).hexdigest())
     assert got == PINNED_STATE[(attention, depth)]
+
+
+def sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                   for a in arrays)).hexdigest()
+
+
+# sha256 of eval-path bytes, recorded while im2col still copied a strided
+# window view and eval batchnorm still built fresh temporaries; a respelt
+# kernel must reproduce them exactly.  "grads" is every parameter gradient
+# of the desk cbam train step, "full" the logits of a full-profile cbam
+# batch-1 eval forward (the 128x128 stem shapes), "gradcam" its default map.
+PINNED_EVAL = {
+    ("none", "in_block"):
+        "3e13e8f6df7aa6a07abb2d49a3b960f32eb40d7ecca710ffb692d90cd0081bc1",
+    ("none", "residual_wrap"):
+        "3e13e8f6df7aa6a07abb2d49a3b960f32eb40d7ecca710ffb692d90cd0081bc1",
+    ("se", "in_block"):
+        "49856e2852968016a78af8e43fdc5245bb55636ee319c44a651f4606e84d9166",
+    ("se", "residual_wrap"):
+        "cfb40022610d8d0df59dc2b360f05329be6aac89fd3c080a4d550b88c6d5905e",
+    ("eca", "in_block"):
+        "ab79c7fa6b975c5d10c601b08a8a341a4e4f1e71eacdfd7c687cb57776ba4b52",
+    ("eca", "residual_wrap"):
+        "a2e291be51255d20f140ade92ddb403813295963416f2d851f30d5c55b8948f2",
+    ("cbam", "in_block"):
+        "77c90906b9cb35c04adf36685c551711ef29d97637fd868e58cdc996204ad5b2",
+    ("cbam", "residual_wrap"):
+        "031886717c05249fe59bdbc852e0fa7b3c0d437e0e3f14abbcb9573ebd4763b5",
+    "grads":
+        "400250144efd62af6b811cf1357eaa792a21426dcf90328bc361e0bbad3b5130",
+    "full":
+        "4de13cadf67ab7860fa095d01fccdd28b30b2f97e0a06ddf38f3f80eb1e2776f",
+    "gradcam":
+        "10f7ce2a89dbd8b35e9eab6666fea339ef4467c191e0f1774062e4dc7799c723",
+}
+
+
+def test_eval_path_bytes_are_pinned():
+    rng = np.random.default_rng(40)
+    x, labels = rng.uniform(size=(8, 1, 32, 32)), [0, 1, 2, 0, 1, 2, 0, 1]
+    got = {}
+    for attention in ("none", "se", "eca", "cbam"):
+        for insertion in ("in_block", "residual_wrap"):
+            model = build_resnet18(desk_config(attention, insertion=insertion), seed=5)
+            # one momentum step moves gamma, beta and the running statistics
+            opt = SgdOptimizer(model.named_params(), lr=0.1, momentum=0.9)
+            softmax_cross_entropy(model.forward(Tensor(x), "train"), labels).backward()
+            if (attention, insertion) == ("cbam", "in_block"):
+                got["grads"] = sha256(*(p.grad for _, p in model.named_params()))
+            opt.step()
+            with no_grad():
+                got[(attention, insertion)] = sha256(model.forward(Tensor(x[::-1]), "eval").data)
+
+    model = build_resnet18(ModelConfig(attention="cbam"), seed=5)
+    model.load_state({name: arr + rng.uniform(-0.1, 0.1, arr.shape)
+                      for name, arr in model.named_state()})
+    image = rng.uniform(size=(1, 1, 128, 128))
+    with no_grad():
+        got["full"] = sha256(model.forward(Tensor(image), "eval").data)
+    got["gradcam"] = sha256(gradcam_map(model, image[0, 0], 3).values)
+    assert got == PINNED_EVAL
+
+    bn = model.stem_bn
+    act = rng.normal(size=(2, bn.channels, 4, 4))
+    before = act.tobytes()
+    with no_grad():
+        bn.forward(Tensor(act), "eval")
+    assert act.tobytes() == before
 
 
 def test_reduced_config_checkpoint_name_order():

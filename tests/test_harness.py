@@ -12,6 +12,8 @@ from attnatr.harness import (HarnessError, PerturbSpec, TrialReport,
                              perturb_spec_from, run_protocol, save_model,
                              synth_config_from, top1_accuracy, train_model,
                              train_settings_from)
+from attnatr.checkpoint import dump_tensors
+from attnatr.layers import SgdOptimizer, softmax_cross_entropy
 from attnatr.rng import SplitMix64, derive_seed
 from attnatr.tensor import Tensor
 
@@ -328,6 +330,31 @@ def test_save_load_model_roundtrip(tmp_path):
     assert np.array_equal(clone.forward(x, "eval").data,
                           model.forward(x, "eval").data)
     assert clone.cfg.attention == "eca"
+
+
+def test_load_model_draws_no_init_values(tmp_path, monkeypatch):
+    model = build_resnet18(desk_config("cbam"), seed=41)
+    x = Tensor(np.random.default_rng(42).uniform(size=(4, 1, 32, 32)))
+    labels = [0, 1, 2, 0]
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_model drew an init value")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SplitMix64, "uniform", refuse)
+        clone = load_model(path)
+    assert dump_tensors(clone.named_state()) == path.read_bytes()
+    assert clone.seed == 41
+
+    states = []
+    for net in (model, clone):  # one more momentum step from the same state
+        opt = SgdOptimizer(net.named_params(), lr=0.1, momentum=0.9)
+        softmax_cross_entropy(net.forward(x, "train"), labels).backward()
+        opt.step()
+        states.append(dump_tensors(net.named_state()))
+    assert states[0] == states[1]
 
 
 def test_load_model_requires_sidecar(tmp_path):

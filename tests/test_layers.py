@@ -7,12 +7,12 @@ from attnatr.backbone import build_resnet18, desk_config
 from attnatr.checkpoint import (CheckpointError, dump_tensors, load_checkpoint,
                                 parse_tensors, save_checkpoint)
 from attnatr.layers import (BatchNorm2d, Conv1d, Conv2d, LayerError, Linear,
-                            SgdOptimizer, conv1d_same, conv2d, global_pool,
-                            linear, pool2d, softmax_cross_entropy)
+                            SgdOptimizer, _im2col, _patch_index, conv1d_same, conv2d,
+                            global_pool, linear, pool2d, softmax_cross_entropy)
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor
 from helpers import (batchnorm_reference, check_gradients, conv2d_naive,
-                     max_pool_first_naive, pool2d_naive)
+                     im2col_naive, max_pool_first_naive, pool2d_naive)
 
 
 def randn(shape, seed=0, scale=1.0):
@@ -79,6 +79,38 @@ def test_conv2d_random_configs_vs_naive(trial):
     got = conv2d(Tensor(x), Tensor(wt), Tensor(b), (sh, sw), (ph, pw)).data
     want = conv2d_naive(x, wt, b, (sh, sw), (ph, pw))
     assert np.abs(got - want).max() < 1e-12
+
+
+IM2COL_CASES = [
+    # (N, C, Hp, Wp, kh, kw, sh, sw): shapes of the padded input
+    (1, 1, 134, 134, 7, 7, 2, 2),   # full-profile stem: 128x128, pad 3
+    (2, 4, 9, 9, 1, 1, 2, 2),       # 1x1 stride-2 downsample
+    (3, 2, 5, 6, 5, 6, 1, 1),       # kernel equal to the padded extent
+    (2, 3, 9, 12, 3, 2, 2, 3),      # non-square kernel and strides
+    (1, 2, 11, 7, 4, 3, 3, 1),
+] + [  # random configs
+    (int(n), int(c), int(hp), int(wp), int(kh), int(kw), int(sh), int(sw))
+    for n, c, hp, wp, kh, kw, sh, sw in np.random.default_rng(60).integers(
+        [1, 1, 4, 4, 1, 1, 1, 1], [4, 5, 10, 10, 5, 5, 4, 4], size=(10, 8))
+]
+
+
+@pytest.mark.parametrize("n, c, hp, wp, kh, kw, sh, sw", IM2COL_CASES)
+def test_im2col_matches_naive_loops_bitwise(n, c, hp, wp, kh, kw, sh, sw):
+    xp = randn((n, c, hp, wp), seed=hp * wp + c)
+    xp.reshape(-1)[::7] = -0.0  # the gather must carry signed zeros and NaNs
+    xp.reshape(-1)[3::11] = np.nan
+    oh, ow = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    assert same_bits(_im2col(xp, kh, kw, sh, sw, oh, ow), im2col_naive(xp, kh, kw, sh, sw))
+
+
+def test_im2col_index_cache_is_bounded_and_read_only():
+    for k in range(1, 80):  # more distinct shapes than the cache holds
+        _im2col(np.zeros((1, 1, k, 1)), 1, 1, 1, 1, k, 1)
+    info = _patch_index.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
+    with pytest.raises(ValueError):
+        _patch_index(1, 3, 3, 1, 1, 1, 1, 3, 3)[0, 0] = 1
 
 
 def test_conv2d_channel_mismatch_error():
