@@ -179,6 +179,32 @@ def max_pool_first_naive(x, window, stride, padding=(0, 0)):
     return out
 
 
+def max_pool_backward_naive(x, g, window, stride, padding=(0, 0)):
+    """Max-pool input gradient: each window's upstream value added, in
+    (n, c, oh, ow) order, at the window's first maximal element.
+
+    The first maximal element is the one ``max_pool_first_naive`` keeps (NaN
+    counts as maximal); a window whose first maximum is padding adds nothing.
+    """
+    n, c, h, w = x.shape
+    kh, kw = window
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    gxp = np.zeros_like(xp)
+    for ni, ci, oi, oj in np.ndindex(n, c, oh, ow):
+        best, at = None, None
+        for i in range(kh):
+            for j in range(kw):
+                v = xp[ni, ci, oi * sh + i, oj * sw + j]
+                if best is None or v > best or (np.isnan(v) and not np.isnan(best)):
+                    best, at = v, (oi * sh + i, oj * sw + j)
+        gxp[ni, ci, at[0], at[1]] += g[ni, ci, oi, oj]
+    return gxp[:, :, ph:ph + h, pw:pw + w]
+
+
 def batchnorm_reference(bn, x, mode: str = "train"):
     """``bn``'s forward composed from primitive tape ops (11 nodes in train mode).
 

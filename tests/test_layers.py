@@ -12,7 +12,8 @@ from attnatr.layers import (BatchNorm2d, Conv1d, Conv2d, LayerError, Linear,
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor
 from helpers import (batchnorm_reference, check_gradients, conv2d_naive,
-                     im2col_naive, max_pool_first_naive, pool2d_naive)
+                     im2col_naive, max_pool_backward_naive, max_pool_first_naive,
+                     pool2d_naive)
 
 
 def randn(shape, seed=0, scale=1.0):
@@ -222,6 +223,24 @@ def test_pool2d_max_keeps_first_maximal_element_bitwise(window, stride, padding)
     x[1, 2, 4:7, 4:7] = -np.inf
     got = pool2d("max", Tensor(x), window, stride, padding).data
     assert same_bits(got, max_pool_first_naive(x, window, stride, padding))
+
+
+@pytest.mark.parametrize("window, stride, padding",
+                         [((3, 3), (2, 2), (1, 1)), ((3, 2), (1, 2), (1, 0)),
+                          ((2, 3), (2, 1), (0, 2)), ((3, 3), (1, 1), (1, 1))])
+def test_pool2d_max_backward_matches_naive_bitwise(window, stride, padding):
+    rng = np.random.default_rng(43)
+    x = np.round(rng.normal(size=(2, 3, 8, 9)) * 2.0) / 2.0  # many tied maxima
+    x[rng.uniform(size=x.shape) < 0.3] = -0.0  # windows of mixed +0.0 and -0.0
+    x[0, 1, 3, 4] = np.nan
+    x[1, 0, 5, 5] = np.nan
+    x[1, 0, 5, 6] = -np.nan
+    x[1, 2, 2:6, 3:7] = -np.inf
+    out = pool2d("max", Tensor(x, requires_grad=True), window, stride, padding)
+    g = rng.normal(size=out.shape)
+    g[rng.uniform(size=g.shape) < 0.2] = -0.0
+    (gx,) = out.node.backward(g)
+    assert same_bits(gx, max_pool_backward_naive(x, g, window, stride, padding))
 
 
 def test_pool2d_window_too_large_error():
