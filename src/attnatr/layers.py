@@ -3,7 +3,8 @@
 Convolutions use cross-correlation semantics (no kernel flip) and are
 lowered to matrix products over an im2col layout, gathered by one ``np.take``
 through a read-only offset index; a bounded ``lru_cache`` (thread-safe)
-keeps one index per input and kernel shape.  The naive-loop oracles in the
+keeps one index per input and kernel shape.  Max-pool backward scatters
+through the same index, taken for one channel.  The naive-loop oracles in the
 test suite pin the semantics and the patch bytes.  All layers are float64
 and differentiable through the tensor tape.
 
@@ -292,17 +293,13 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
         out = _window_max(win)
 
         def back(g):
-            arg = np.argmax(win.reshape(n, c, oh, ow, kh * kw), axis=-1)
-            gxp = np.zeros_like(xp)
-            ki, kj = np.divmod(arg, kw)
-            oi = np.arange(oh)[:, None] * sh
-            oj = np.arange(ow)[None, :] * sw
-            rows = (oi[None, None] + ki).reshape(-1)
-            colx = (oj[None, None] + kj).reshape(-1)
-            ns = np.repeat(np.arange(n), c * oh * ow)
-            cs = np.tile(np.repeat(np.arange(c), oh * ow), n)
-            np.add.at(gxp, (ns, cs, rows, colx), g.reshape(-1))
-            return (gxp[:, :, ph:ph + h, pw:pw + w],)
+            # each window's first argmax, as an offset into its flat (Hp, Wp) map
+            arg = np.argmax(win.reshape(n * c, oh * ow, kh * kw), axis=-1)
+            taps = _patch_index(1, *xp.shape[2:], kh, kw, sh, sw, oh, ow)
+            gxp = np.zeros((n * c, xp[0, 0].size))
+            np.add.at(gxp, (np.arange(n * c)[:, None], taps[np.arange(oh * ow), arg]),
+                      g.reshape(n * c, oh * ow))  # adds in (n, c, oh, ow) order
+            return (gxp.reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w],)
 
         return apply_op("maxpool2d", out, (x,), back)
 

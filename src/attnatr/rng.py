@@ -57,6 +57,12 @@ def derive_seed(seed: int, *parts) -> int:
     return s
 
 
+def _shaped(shape, draw) -> np.ndarray:
+    """``draw(n)`` for the n values of ``shape``, shaped; one value for ``()``."""
+    out = draw(int(np.prod(shape)) if shape else 1)
+    return out.reshape(shape) if shape else out[0]
+
+
 def _mix_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
@@ -79,32 +85,28 @@ class SplitMix64:
         self._count += n
         return _mix_array(np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
 
+    def _units(self, n: int) -> np.ndarray:
+        """The next n doubles in [0, 1), the top 53 bits of each output."""
+        return (self._block(n) >> np.uint64(11)).astype(np.float64) * _U53
+
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """Uniform doubles in [low, high), shaped."""
-        n = int(np.prod(shape)) if shape else 1
-        u = (self._block(n) >> np.uint64(11)).astype(np.float64) * _U53
-        out = low + (high - low) * u
-        return out.reshape(shape) if shape else out[0]
+        return _shaped(shape, lambda n: low + (high - low) * self._units(n))
 
     def gaussian(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Standard-normal draws via Box-Muller, scaled and shifted."""
-        n = int(np.prod(shape)) if shape else 1
-        pairs = (n + 1) // 2
-        u = (self._block(2 * pairs) >> np.uint64(11)).astype(np.float64) * _U53
-        u1 = 1.0 - u[:pairs]  # in (0, 1]: log is finite
-        u2 = u[pairs:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        out = mean + std * z
-        return out.reshape(shape) if shape else out[0]
+        def normal(n):
+            pairs = (n + 1) // 2
+            u = self._units(2 * pairs)
+            r = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))  # 1 - u in (0, 1]: log is finite
+            theta = 2.0 * np.pi * u[pairs:]
+            return mean + std * np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+        return _shaped(shape, normal)
 
     def exponential(self, shape=()) -> np.ndarray:
         """Unit-mean exponential draws."""
-        n = int(np.prod(shape)) if shape else 1
-        u = (self._block(n) >> np.uint64(11)).astype(np.float64) * _U53
-        out = -np.log1p(-u)
-        return out.reshape(shape) if shape else out[0]
+        return _shaped(shape, lambda n: -np.log1p(-self._units(n)))
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection on the top bits."""

@@ -19,6 +19,8 @@ so full reductions and losses have shape (1,).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -48,19 +50,11 @@ class no_grad:
 
 
 def broadcast_shape(a: tuple, b: tuple) -> tuple:
-    """Broadcast two shapes by left-padding and singleton-extent expansion."""
-    rank = max(len(a), len(b))
-    pa = (1,) * (rank - len(a)) + tuple(a)
-    pb = (1,) * (rank - len(b)) + tuple(b)
-    out = []
-    for da, db in zip(pa, pb):
-        if da == db or db == 1:
-            out.append(da)
-        elif da == 1:
-            out.append(db)
-        else:
-            raise ShapeError(f"cannot broadcast shape {tuple(a)} with {tuple(b)}")
-    return tuple(out)
+    """numpy's broadcast of two shapes; a ShapeError names both."""
+    try:
+        return np.broadcast_shapes(tuple(a), tuple(b))
+    except ValueError:
+        raise ShapeError(f"cannot broadcast shape {tuple(a)} with {tuple(b)}") from None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -214,7 +208,7 @@ class Tensor:
         axes_t = tuple(range(self.ndim)) if axes is None else axes
         kept = tuple(i for i in range(self.ndim) if i not in axes_t)
         perm = kept + axes_t
-        red = int(np.prod([shape[i] for i in axes_t])) if axes_t else 1
+        red = math.prod(shape[i] for i in axes_t)
         moved = self.data.transpose(perm).reshape(
             tuple(shape[i] for i in kept) + (red,))
         # first maximal element per reduced slice, in row-major scan order
@@ -297,14 +291,18 @@ def apply_op(op: str, data: np.ndarray, inputs: tuple, backward) -> Tensor:
 
 def _binary(op, a, b, fwd, bwd) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    broadcast_shape(a.shape, b.shape)  # raises ShapeError naming both shapes
     ad, bd = a.data, b.data
+    try:
+        data = fwd(ad, bd)
+    except ValueError:
+        broadcast_shape(ad.shape, bd.shape)  # raises ShapeError naming both shapes
+        raise
 
     def back(g):
         ga, gb = bwd(g, ad, bd)
         return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
-    return apply_op(op, fwd(ad, bd), (a, b), back)
+    return apply_op(op, data, (a, b), back)
 
 
 def _check_axes(axes, rank):
@@ -325,18 +323,13 @@ def _check_axes(axes, rank):
 
 
 def _reduced_count(shape, axes) -> float:
-    if axes is None:
-        return float(int(np.prod(shape))) if shape else 1.0
-    return float(int(np.prod([shape[a] for a in axes]))) if axes else 1.0
+    return float(math.prod(shape if axes is None else [shape[a] for a in axes]))
 
 
 def _expand_reduced(g, shape, axes, keepdims) -> np.ndarray:
     """Broadcast a reduced gradient back over the reduced extents."""
-    if axes is None:
-        return np.broadcast_to(np.asarray(g), shape).copy()
-    if not keepdims:
-        for a in axes:
-            g = np.expand_dims(g, a)
+    if axes is not None and not keepdims:
+        g = np.expand_dims(g, axes)
     return np.broadcast_to(g, shape).copy()
 
 
@@ -375,13 +368,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def back(g):
-        grads = []
-        start = 0
-        for sz in sizes:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + sz)
-            grads.append(g[tuple(sl)])
-            start += sz
-        return tuple(grads)
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return apply_op("concat", data, tuple(tensors), back)
