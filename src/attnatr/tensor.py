@@ -10,15 +10,15 @@ loss in a per-pass buffer and then adds it into ``.grad``, so gradients
 accumulate additively across passes and across fan-out within a pass.
 Callers zero grads explicitly between optimizer steps.
 
-Tensors are not mutated by operations once produced.  Grad mode is one
-process-wide flag: ``no_grad`` switches tape recording off for every
-thread until it exits, so code that records a tape must not run alongside
-a ``no_grad`` block in another thread.  Storage is always at least rank 1,
-so full reductions and losses have shape (1,).
+Tensors are not mutated by operations once produced.  Grad mode is a
+``contextvars.ContextVar``: ``no_grad`` switches tape recording off in its
+own thread (or asyncio task) only.  Storage is always at least rank 1, so
+full reductions and losses have shape (1,).
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -32,20 +32,17 @@ class AutodiffError(RuntimeError):
     """Raised on invalid backward calls (non-scalar loss, empty tape)."""
 
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 class no_grad:
     """Context manager disabling tape recording (e.g. bulk evaluation)."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -283,7 +280,7 @@ def apply_op(op: str, data: np.ndarray, inputs: tuple, backward) -> Tensor:
     ``inputs`` (None allowed for inputs that need no gradient).
     """
     out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = TapeNode(op, inputs, backward)
     return out

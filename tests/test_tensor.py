@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +224,31 @@ def test_no_grad_suppresses_tape():
     with no_grad():
         y = x * 2.0
     assert y.node is None and not y.requires_grad
+
+
+def test_no_grad_in_one_thread_leaves_another_recording():
+    entered, done = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with no_grad():
+            entered.set()
+            done.wait(timeout=10)
+
+    holder = threading.Thread(target=hold_no_grad)
+    holder.start()
+    try:
+        assert entered.wait(timeout=10)
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = (x * x).sum()
+        assert y.node is not None and y.requires_grad
+        y.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+    finally:
+        done.set()
+        holder.join()
+    with no_grad():  # the holder's exit reset only its own context
+        assert (x * 2.0).node is None
+    assert (x * 2.0).node is not None
 
 
 # ---------------------------------------------------------------------------
