@@ -90,8 +90,16 @@ def _emit(text: str, out_path=None):
 
 
 def _cmd_train(args) -> int:
+    protocol = bool(args.variants)
+    ignored = [flag for flag, value, protocol_flag in (
+        ("--attention", getattr(args, "model.attention"), False),
+        ("--trials", getattr(args, "protocol.trials"), True),
+        ("--ckpt-dir", args.ckpt_dir, True)) if value is not None and protocol_flag != protocol]
+    if ignored:
+        raise UsageError(f"train: {', '.join(ignored)} " + (
+            "cannot be used with --variants" if protocol else "can only be used with --variants"))
     resolved = _resolved_config(args, args.config and cfgmod.load_config(args.config))
-    if args.variants:
+    if protocol:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         result = run_protocol(resolved, variants, cfgmod.get(resolved, "protocol.trials"),
                               out_dir=args.ckpt_dir)
@@ -121,13 +129,12 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"eval: --perturb-std must be finite and at least 0, got {sigma}")
     model = load_model(args.model)
     dataset = load_dataset(args.data, split=args.split, size=model.cfg.input_size)
-    accs = []
-    for trial in range(args.trials):
-        ds = dataset
-        if sigma > 0:
-            spec = PerturbSpec(scale=sigma, seed=derive_seed(args.seed, "eval", trial))
-            ds = perturb_dataset(dataset, spec)
-        accs.append(top1_accuracy(model, ds, args.batch_size))
+    if sigma == 0:  # a clean eval is deterministic: one pass fills every trial
+        accs = [top1_accuracy(model, dataset, args.batch_size)] * args.trials
+    else:
+        accs = [top1_accuracy(model, perturb_dataset(dataset, PerturbSpec(
+                    scale=sigma, seed=derive_seed(args.seed, "eval", trial))), args.batch_size)
+                for trial in range(args.trials)]
     tag = f"{model.cfg.attention} ResNet-18" if model.cfg.attention != "none" \
         else "ResNet-18"
     title = "Top-1 accuracy" if sigma == 0 \

@@ -7,7 +7,7 @@ import pytest
 from attnatr import config as cfgmod
 from attnatr.cli import run_command
 from attnatr.data import write_phoenix
-from attnatr.harness import run_protocol
+from attnatr.harness import run_protocol, top1_accuracy
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -325,3 +325,46 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     assert run_command(commands["synth-gen"]) == 0
     gradcam = commands["gradcam"]
     assert Path(gradcam[gradcam.index("--image") + 1]).is_file()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--variants", "none,se", "--attention", "cbam"],
+     "train: --attention cannot be used with --variants"),
+    (["--out", "m.ckpt", "--trials", "5"], "train: --trials can only be used with --variants"),
+    (["--out", "m.ckpt", "--trials", "5", "--ckpt-dir", "cks"],
+     "train: --trials, --ckpt-dir can only be used with --variants")])
+def test_train_rejects_flags_its_mode_ignores(tmp_path, small_cfg, capsys, monkeypatch,
+                                             argv, message):
+    def no_data(*args):
+        raise AssertionError("data synthesized before the flags were checked")
+
+    monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["train", "--config", small_cfg, *argv]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
+@pytest.mark.parametrize("noise, passes", [([], 1), (["--perturb-std", "0.05"], 3)])
+def test_eval_runs_one_pass_per_distinct_trial(tmp_path, small_cfg, capsys, monkeypatch,
+                                               noise, passes):
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
+    data_dir = tmp_path / "d"
+    assert run_command(["synth-gen", "--out", str(data_dir), "--per-class", "3"]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return top1_accuracy(*args)
+
+    monkeypatch.setattr("attnatr.cli.top1_accuracy", counted)
+    argv = ["eval", "--model", str(ckpt), "--data", str(data_dir), "--trials", "3"]
+    assert run_command(argv + noise) == 0
+    assert len(calls) == passes
+    table = capsys.readouterr().out.splitlines()[-1]
+    assert table.count("%") == 4
+    if not noise:
+        cells = table.split("|")[1:]
+        assert len({cell.strip() for cell in cells}) == 1
