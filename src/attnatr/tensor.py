@@ -181,7 +181,7 @@ class Tensor:
         shape = self.shape
 
         def back(g):
-            return (_expand_reduced(g, shape, axes, keepdims),)
+            return (_expand_reduced(g, shape, axes),)
 
         return apply_op("sum", self.data.sum(axis=axes, keepdims=keepdims),
                         (self,), back)
@@ -192,7 +192,7 @@ class Tensor:
         count = _reduced_count(shape, axes)
 
         def back(g):
-            return (_expand_reduced(g, shape, axes, keepdims) / count,)
+            return (_expand_reduced(g, shape, axes) / count,)
 
         return apply_op("mean", self.data.mean(axis=axes, keepdims=keepdims),
                         (self,), back)
@@ -323,11 +323,10 @@ def _reduced_count(shape, axes) -> float:
     return float(math.prod(shape if axes is None else [shape[a] for a in axes]))
 
 
-def _expand_reduced(g, shape, axes, keepdims) -> np.ndarray:
-    """Broadcast a reduced gradient back over the reduced extents."""
-    if axes is not None and not keepdims:
-        g = np.expand_dims(g, axes)
-    return np.broadcast_to(g, shape).copy()
+def _expand_reduced(g, shape, axes) -> np.ndarray:
+    """Broadcast a reduced gradient, in its keepdims shape, over the reduced extents."""
+    kept = tuple(1 if axes is None or i in axes else d for i, d in enumerate(shape))
+    return np.broadcast_to(g.reshape(kept), shape).copy()
 
 
 def relu(x: Tensor) -> Tensor:

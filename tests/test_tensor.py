@@ -134,6 +134,16 @@ def test_sum_keepdims_shapes():
     assert x.max(axes=(0, 2), keepdims=True).shape == (1, 3, 1)
 
 
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("axes", [None, (0, 1, 2), (-1, 0, 1)])
+def test_reducing_every_axis_by_name_has_a_gradient(axes, keepdims):
+    x = randt((2, 3, 4), seed=18, requires_grad=True)
+    for reduce, scale in ((x.sum, 1.0), (x.mean, 1.0 / 24.0)):
+        x.grad = None
+        reduce(axes, keepdims).sum().backward()
+        assert np.array_equal(x.grad, np.full(x.shape, scale))
+
+
 def test_invalid_axis_error():
     with pytest.raises(ShapeError, match="axis 3"):
         randt((2, 2), seed=0).sum(axes=3)
