@@ -91,13 +91,12 @@ def _emit(text: str, out_path=None):
 
 def _cmd_train(args) -> int:
     protocol = bool(args.variants)
-    ignored = [flag for flag, value, protocol_flag in (
-        ("--attention", getattr(args, "model.attention"), False),
-        ("--trials", getattr(args, "protocol.trials"), True),
-        ("--ckpt-dir", args.ckpt_dir, True)) if value is not None and protocol_flag != protocol]
-    if ignored:
-        raise UsageError(f"train: {', '.join(ignored)} " + (
-            "cannot be used with --variants" if protocol else "can only be used with --variants"))
+    if protocol and getattr(args, "model.attention") is not None:
+        raise UsageError("train: --attention cannot be used with --variants")
+    stray = [flag for flag, value in (("--trials", getattr(args, "protocol.trials")),
+                                      ("--ckpt-dir", args.ckpt_dir)) if value is not None]
+    if stray and not protocol:
+        raise UsageError(f"train: {', '.join(stray)} can only be used with --variants")
     resolved = _resolved_config(args, args.config and cfgmod.load_config(args.config))
     if protocol:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
