@@ -1,10 +1,11 @@
 """Dataset plumbing: Phoenix-format radar chips, PGM/PPM images, and a
 synthetic speckled stand-in dataset.
 
-The synthetic generator renders one bright geometric template per class, a
-darker shadow region displaced along a fixed offset vector, multiplicative
-unit-mean speckle, and per-image jitter, all drawn from seeded splitmix
-streams so a config reproduces its dataset byte for byte.
+The synthetic generator renders one bright geometric template per class
+(five shapes in three sizes, so at most 15 classes), a darker shadow region
+displaced along a fixed offset vector, multiplicative unit-mean speckle, and
+per-image jitter, all drawn from seeded splitmix streams so a config
+reproduces its dataset byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigFileError
 from .rng import SplitMix64, derive_seed
 
 
@@ -228,6 +230,8 @@ def read_chip(path, size: int | None) -> np.ndarray:
 # synthetic speckle dataset
 
 _TEMPLATE_NAMES = ("disk", "bar", "cross", "ring", "wedge")
+_SIZE_STEPS = (1.0, 1.25, 1.5)  # template scale of variant 0, 1, 2
+MAX_SYNTH_CLASSES = len(_TEMPLATE_NAMES) * len(_SIZE_STEPS)
 
 
 @dataclass
@@ -245,6 +249,13 @@ class SynthConfig:
     jitter: float = 2.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.num_classes > MAX_SYNTH_CLASSES:
+            raise ConfigFileError(
+                f"config key 'data.classes': the synthetic dataset has at most "
+                f"{MAX_SYNTH_CLASSES} classes ({len(_TEMPLATE_NAMES)} shapes in "
+                f"{len(_SIZE_STEPS)} sizes), got {self.num_classes}")
+
     def class_names(self) -> list:
         """``<id>_<template>``, the id zero-padded so that name order is id order."""
         width, kinds = len(str(self.num_classes - 1)), len(_TEMPLATE_NAMES)
@@ -254,14 +265,15 @@ class SynthConfig:
 
 def _template_mask(class_id: int, size: int, cy: float, cx: float,
                    angle: float) -> np.ndarray:
-    """Rasterize the class template centered at (cy, cx), rotated by angle."""
+    """Rasterize the template of class k (shape k % 5 at size step k // 5)
+    centered at (cy, cx), rotated by angle."""
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     dy, dx = ys - cy, xs - cx
     ca, sa = np.cos(angle), np.sin(angle)
     u = ca * dx + sa * dy      # rotated frame
     v = -sa * dx + ca * dy
-    s = size / 32.0            # templates parameterized at 32 px
-    kind = class_id % len(_TEMPLATE_NAMES)
+    variant, kind = divmod(class_id, len(_TEMPLATE_NAMES))
+    s = size / 32.0 * _SIZE_STEPS[variant]  # templates parameterized at 32 px
     if kind == 0:    # disk
         return (u * u + v * v) <= (4.5 * s) ** 2
     if kind == 1:    # long bar

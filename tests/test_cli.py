@@ -368,3 +368,22 @@ def test_eval_runs_one_pass_per_distinct_trial(tmp_path, small_cfg, capsys, monk
     if not noise:
         cells = table.split("|")[1:]
         assert len({cell.strip() for cell in cells}) == 1
+
+
+@pytest.mark.parametrize("argv", [["synth-gen", "--out", "d", "--classes", "16"],
+                                  ["train", "--out", "m.ckpt", "--config", "desk.cfg"],
+                                  ["train", "--variants", "none", "--config", "desk.cfg"]])
+def test_too_many_synthetic_classes_fail_before_any_chip(tmp_path, small_cfg, capsys,
+                                                         monkeypatch, argv):
+    def no_chips(*args):
+        raise AssertionError("a chip was rendered before the class count was checked")
+
+    monkeypatch.setattr("attnatr.data.synth_sample", no_chips)
+    with open(small_cfg, "a") as fh:
+        fh.write("data.classes = 16\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert "config key 'data.classes': the synthetic dataset has at most 15" in err
+    assert "got 16" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from attnatr.data import (DatasetError, ImageIoError, PhoenixError, SynthConfig,
-                          center_crop_or_pad, load_dataset, minmax_normalize,
+from attnatr.data import (MAX_SYNTH_CLASSES, DatasetError, ImageIoError, PhoenixError,
+                          SynthConfig, center_crop_or_pad, load_dataset, minmax_normalize,
                           parse_mstar_phoenix, read_chip, read_pgm, synth_dataset,
                           synth_sample, write_image, write_phoenix, write_synth_dir)
+from attnatr.config import ConfigFileError
 from attnatr.rng import SplitMix64, derive_seed
 
 
@@ -225,6 +228,44 @@ def test_synth_class_names_sort_in_class_id_order():
 def test_synth_class_id_validation():
     with pytest.raises(DatasetError, match="out of range"):
         synth_sample(SynthConfig(), 5, seed=1)
+
+
+# SHA-256 of synth_sample(SynthConfig(num_classes=12, image_size=size), k,
+# 1000 + k) for k = 0..4, recorded before classes 5 and up got their own sizes.
+_CLASSES_0_TO_4 = {
+    32: ["cf59fb68d9be6601bb55080252d59a1599bafb23ccc33ea981ff07b5f9450a68",
+         "54d5a9246414bf317b3fae27263e30dd4264185f6e2a26f4e8f7b3f856cad330",
+         "73a8363b38daad4df9aac20b9a54d3c7a97e2758aed644e3168af40039fca98c",
+         "60ad976f2894ca31f619b8f88e3bedf70e26c5b28ca3c6343680eb4c191bbbe7",
+         "1a59391d8f154df3c306c2a577c293cfe65d0890b5f624ebc6045dc23d46d8a5"],
+    128: ["1b0123cb02ebc2543c81843cea2f434917713f35f3bf749224e6fea540207d15",
+          "a3095e935181fbbb687596f93a9cb3dd37d154ad861fb5411a37f10889942c6c",
+          "91b3f5024a6c34e2ea3ac4cd6377ef4452f69bb45ada04e28fb29401813082c5",
+          "e19385dc0fc1a966a6e3022ef395792cc83be30487d8c17411feedce4c17a53c",
+          "c436d3387760b603bf2f1d26721951ba2986b6e8840941f655bb095efb2ea740"]}
+
+
+@pytest.mark.parametrize("size", [32, 128])
+def test_synth_classes_0_to_4_keep_their_bytes(size):
+    cfg = SynthConfig(num_classes=12, image_size=size)
+    got = [hashlib.sha256(synth_sample(cfg, k, 1000 + k).magnitude.tobytes()).hexdigest()
+           for k in range(5)]
+    assert got == _CLASSES_0_TO_4[size]
+
+
+@pytest.mark.parametrize("size", [32, 48, 128])
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_synth_clean_renders_of_every_class_are_distinct(size, seed):
+    cfg = SynthConfig(num_classes=MAX_SYNTH_CLASSES, image_size=size, speckle=False,
+                      jitter=0.0)
+    renders = {synth_sample(cfg, k, seed).magnitude.tobytes() for k in range(cfg.num_classes)}
+    assert len(renders) == MAX_SYNTH_CLASSES >= 12
+
+
+def test_synth_class_count_above_the_maximum_is_an_error():
+    with pytest.raises(ConfigFileError, match=f"'data.classes': .* at most {MAX_SYNTH_CLASSES} "
+                       f"classes .*, got {MAX_SYNTH_CLASSES + 1}"):
+        SynthConfig(num_classes=MAX_SYNTH_CLASSES + 1)
 
 
 # ---------------------------------------------------------------------------
