@@ -23,6 +23,14 @@ def _check_channels(block, u):
             f"got input shape {u.shape}")
 
 
+def _gate_channels(block, u: Tensor, excite) -> Tensor:
+    """Average-pool each channel, excite, and rescale channels by the sigmoid."""
+    _check_channels(block, u)
+    n, c = u.shape[0], u.shape[1]
+    s = sigmoid(excite(global_pool("avg", u).reshape(n, c)))
+    return u * s.reshape(n, c, 1, 1)
+
+
 def _hidden_width(channels: int, reduction: int) -> int:
     return max(1, channels // reduction)
 
@@ -44,11 +52,7 @@ class SeBlock(Module):
         self.fc2 = Linear(hidden, channels, bias=False, rng=rng.split("fc2"))
 
     def forward(self, u: Tensor) -> Tensor:
-        _check_channels(self, u)
-        n, c = u.shape[0], u.shape[1]
-        z = global_pool("avg", u).reshape(n, c)
-        s = sigmoid(self.fc2.forward(relu(self.fc1.forward(z))))
-        return u * s.reshape(n, c, 1, 1)
+        return _gate_channels(self, u, lambda z: self.fc2.forward(relu(self.fc1.forward(z))))
 
     def children(self):
         return (("0", self.fc1), ("1", self.fc2))
@@ -79,11 +83,7 @@ class EcaBlock(Module):
         self.conv = Conv1d(self.kernel_size, rng=(rng or SplitMix64(0)).split("conv"))
 
     def forward(self, u: Tensor) -> Tensor:
-        _check_channels(self, u)
-        n, c = u.shape[0], u.shape[1]
-        z = global_pool("avg", u).reshape(n, c)
-        s = sigmoid(self.conv.forward(z))
-        return u * s.reshape(n, c, 1, 1)
+        return _gate_channels(self, u, self.conv.forward)
 
     def children(self):
         return (("0", self.conv),)

@@ -67,12 +67,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth-gen", help="materialize a synthetic dataset directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", dest="data.classes", type=int, default=3)
+    p.add_argument("--classes", dest="data.classes", type=int)
     p.add_argument("--per-class", type=int, default=50, help="chips per class")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", dest="data.image_size", type=int, default=32)
+    p.add_argument("--size", dest="data.image_size", type=int)
     p.add_argument("--split", default="test", choices=("train", "test"))
-    p.add_argument("--looks", dest="data.speckle_looks", type=int, default=1)
+    p.add_argument("--looks", dest="data.speckle_looks", type=int)
     return parser
 
 

@@ -86,29 +86,27 @@ def format_config(cfg: dict[str, str]) -> str:
     return "\n".join(f"{k} = {cfg[k]}" for k in sorted(cfg)) + "\n"
 
 
-def get_int(cfg, key) -> int:
+def _parsed(cfg, key, parse, expected):
     try:
-        return int(cfg[key])
+        return parse(cfg[key])
     except (KeyError, ValueError) as exc:
-        raise ConfigFileError(f"config key {key!r}: expected integer: {exc}") from exc
+        raise ConfigFileError(f"config key {key!r}: expected {expected}: {exc}") from exc
+
+
+def get_int(cfg, key) -> int:
+    return _parsed(cfg, key, int, "integer")
 
 
 def get_float(cfg, key) -> float:
-    try:
-        value = float(cfg[key])
-    except (KeyError, ValueError) as exc:
-        raise ConfigFileError(f"config key {key!r}: expected number: {exc}") from exc
+    value = _parsed(cfg, key, float, "number")
     if not math.isfinite(value):
         raise ConfigFileError(f"config key {key!r}: expected a finite number, got {value}")
     return value
 
 
 def get_int_tuple(cfg, key) -> tuple:
-    try:
-        return tuple(int(v) for v in cfg[key].split(","))
-    except (KeyError, ValueError) as exc:
-        raise ConfigFileError(
-            f"config key {key!r}: expected comma-separated integers: {exc}") from exc
+    return _parsed(cfg, key, lambda text: tuple(int(v) for v in text.split(",")),
+                   "comma-separated integers")
 
 
 def get_str(cfg, key) -> str:

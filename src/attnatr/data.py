@@ -31,7 +31,6 @@ class DatasetError(ValueError):
 class SarImage:
     magnitude: np.ndarray  # (H, W) float64 in [0, 1]
     label: int
-    source: str = ""
 
 
 @dataclass
@@ -53,21 +52,15 @@ def minmax_normalize(values: np.ndarray) -> np.ndarray:
 
 
 def center_crop_or_pad(img: np.ndarray, size: int) -> np.ndarray:
-    """Center-crop larger images, zero-pad smaller ones, to size x size."""
-    h, w = img.shape
-    out = img
-    if h > size:
-        top = (h - size) // 2
-        out = out[top:top + size, :]
-    if w > size:
-        left = (w - size) // 2
-        out = out[:, left:left + size]
-    h, w = out.shape
-    if h < size or w < size:
-        padded = np.zeros((size, size), dtype=out.dtype)
-        top, left = (size - h) // 2, (size - w) // 2
-        padded[top:top + h, left:left + w] = out
-        out = padded
+    """Center-crop larger axes, zero-pad smaller ones, to size x size: each
+    axis copies its centered overlap of min(extent, size) pixels."""
+    src, dst = [], []
+    for n in img.shape:
+        m = min(n, size)
+        src.append(slice((n - m) // 2, (n - m) // 2 + m))
+        dst.append(slice((size - m) // 2, (size - m) // 2 + m))
+    out = np.zeros((size, size), dtype=img.dtype)
+    out[tuple(dst)] = img[tuple(src)]
     return out
 
 
@@ -311,8 +304,7 @@ def synth_sample(cfg: SynthConfig, class_id: int, seed: int) -> SarImage:
         looks = max(1, int(cfg.speckle_looks))
         noise = rng.exponential((looks, size, size)).mean(axis=0)
         img = img * noise
-    return SarImage(np.clip(img, 0.0, 1.0), label=class_id,
-                    source=f"synth:{class_id}:{seed:016x}")
+    return SarImage(np.clip(img, 0.0, 1.0), label=class_id)
 
 
 def synth_dataset(cfg: SynthConfig, split: str) -> Dataset:
@@ -369,5 +361,5 @@ def load_dataset(source, split: str = "train", size: int | None = None) -> Datas
                 pixels = read_chip(path, size)
             except (PhoenixError, ImageIoError, OSError) as exc:
                 raise DatasetError(f"unreadable file {path}: {exc}") from exc
-            images.append(SarImage(pixels, label, source=str(path)))
+            images.append(SarImage(pixels, label))
     return Dataset(images, class_names, split)

@@ -83,7 +83,6 @@ def gradcam_map(model, image, target_class: int, layer_name: str | None = None) 
     alpha = g.mean(axis=(1, 2))
     raw = np.maximum((alpha[:, None, None] * a).sum(axis=0), 0.0)
     up = bilinear_resize(raw, x.shape[2], x.shape[3])
-    up = np.maximum(up, 0.0)  # interpolation cannot create negatives, but be safe
     return SaliencyMap(_normalize(up), layer_name, target_class)
 
 

@@ -40,7 +40,6 @@ class PerturbSpec:
     mean: float = 0.0
     scale: float = 3.0 / 255.0
     interpretation: str = "std_dev"  # std_dev | variance
-    clamp: tuple = (0.0, 1.0)
     seed: int = 0
 
     def sigma(self) -> float:
@@ -56,11 +55,9 @@ class PerturbSpec:
 
 
 def perturb_gaussian(image: SarImage, spec: PerturbSpec, rng: SplitMix64) -> SarImage:
-    """Add seeded gaussian noise per pixel and clamp back into range."""
+    """Add seeded gaussian noise per pixel and clip back into [0, 1]."""
     noise = rng.gaussian(image.magnitude.shape, spec.mean, spec.sigma())
-    lo, hi = spec.clamp
-    return SarImage(np.clip(image.magnitude + noise, lo, hi),
-                    image.label, image.source)
+    return SarImage(np.clip(image.magnitude + noise, 0.0, 1.0), image.label)
 
 
 def perturb_dataset(dataset: Dataset, spec: PerturbSpec) -> Dataset:
@@ -149,9 +146,8 @@ class TrialReport:
     baseline_tag: str | None = None
 
 
-def _pct(fraction) -> Decimal:
-    return Decimal(repr(float(fraction) * 100.0)).quantize(
-        Decimal("0.01"), rounding=ROUND_HALF_EVEN)
+def _cent(value) -> Decimal:
+    return value.quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN)
 
 
 def format_report(reports: list, title: str = "") -> str:
@@ -163,38 +159,21 @@ def format_report(reports: list, title: str = "") -> str:
     compare printed averages against the baseline row.
     """
     trials = max((len(rep.trials) for rep in reports), default=0)
-    header = ["Model"] + [f"Test {i + 1}" for i in range(trials)] + ["Average"]
-
-    printed_avg: dict[str, Decimal] = {}
-    rows = []
-    for rep in reports:
-        cells = [_pct(v) for v in rep.trials]
-        avg = (sum(cells) / len(cells)).quantize(
-            Decimal("0.01"), rounding=ROUND_HALF_EVEN)
-        printed_avg[rep.tag] = avg
-        rows.append((rep, cells, avg))
-
-    lines = []
-    table = []
-    for rep, cells, avg in rows:
+    cells = [[_cent(Decimal(repr(float(v) * 100.0))) for v in rep.trials] for rep in reports]
+    averages = [_cent(sum(row) / len(row)) for row in cells]
+    printed = {rep.tag: avg for rep, avg in zip(reports, averages)}
+    table = [["Model"] + [f"Test {i + 1}" for i in range(trials)] + ["Average"]]
+    for rep, row, avg in zip(reports, cells, averages):
         avg_text = f"{avg}%"
-        if rep.baseline_tag is not None and rep.baseline_tag in printed_avg \
-                and rep.baseline_tag != rep.tag:
-            delta = avg - printed_avg[rep.baseline_tag]
+        if rep.baseline_tag in printed and rep.baseline_tag != rep.tag:
+            delta = avg - printed[rep.baseline_tag]
             avg_text += f" ({'+' if delta >= 0 else '-'}{abs(delta)}%)"
-        padding = [""] * (trials - len(cells))
-        table.append([rep.tag] + [f"{c}%" for c in cells] + padding + [avg_text])
-
-    widths = [len(h) for h in header]
-    for row in table:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    if title:
-        lines.append(title)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    lines.append("-+-".join("-" * w for w in widths))
-    for row in table:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+        table.append([rep.tag] + [f"{c}%" for c in row] + [""] * (trials - len(row))
+                     + [avg_text])
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = [" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
+    return "\n".join(([title] if title else []) + lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
