@@ -119,6 +119,8 @@ def parse_mstar_phoenix(data: bytes):
     plane = rows * cols * 4
     magnitude = np.frombuffer(data[offset:offset + plane], dtype=">f4")
     magnitude = magnitude.astype(np.float64).reshape(rows, cols)
+    if not np.isfinite(magnitude).all():
+        raise PhoenixError("magnitude plane holds a non-finite value")
     return SarImage(minmax_normalize(magnitude), label=-1), header
 
 

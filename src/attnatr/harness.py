@@ -78,8 +78,12 @@ def _batch_array(images) -> np.ndarray:
 def top1_accuracy(model: ResNet, dataset: Dataset, batch_size: int = 32) -> float:
     """Fraction of samples whose argmax logit equals the label.
 
-    Argmax ties break to the lowest class index; results are independent of
-    batch size because eval-mode forward is per-sample deterministic.
+    Argmax ties break to the lowest class index.  Convolutions multiply each
+    sample on its own, but a linear layer (the head, and the SE and CBAM
+    MLPs) multiplies the whole batch at once, and BLAS may round it
+    differently by row count (by about 1e-17).  So accuracy can differ
+    between batch sizes only for a sample whose top two logits lie within
+    that rounding.
     """
     if len(dataset) == 0:
         raise HarnessError("cannot evaluate on an empty dataset")

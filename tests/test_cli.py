@@ -1,15 +1,23 @@
+import contextlib
+import io
+import os
 import shlex
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attnatr import config as cfgmod
 from attnatr.cli import run_command
-from attnatr.data import write_phoenix
+from attnatr.data import write_image, write_phoenix
 from attnatr.harness import run_protocol, top1_accuracy
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -387,3 +395,181 @@ def test_too_many_synthetic_classes_fail_before_any_chip(tmp_path, small_cfg, ca
     assert "config key 'data.classes': the synthetic dataset has at most 15" in err
     assert "got 16" in err
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
+# An address-space cap makes an impossible allocation fail at once, so a probe
+# that asks for petabytes never touches real memory.
+_CAPPED_CLI = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+               "from attnatr.cli import run_command\n"
+               "sys.exit(run_command(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "gradcam", "synth-gen"])
+def test_an_impossible_allocation_is_a_runtime_error(tmp_path, small_cfg, capsys, command):
+    # stage 4's 3x3 conv weights need 10.7 GiB, then 6.4 PiB; a 200000-pixel
+    # chip needs a 640 GB coordinate grid
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
+    sidecar = tmp_path / "m.ckpt.cfg"
+    sidecar.write_text(sidecar.read_text().replace(
+        "model.stage_widths = 4,8,16,32", "model.stage_widths = 4,8,16,10000000"))
+    chip = tmp_path / "chip.pgm"
+    write_image("pgm", chip, np.zeros((32, 32)))
+    argv = {"eval": ["--model", ckpt, "--data", tmp_path],
+            "gradcam": ["--model", ckpt, "--image", chip, "--class", "0",
+                        "--out", tmp_path / "cam.ppm"],
+            "synth-gen": ["--out", tmp_path / "d", "--size", "200000", "--per-class", "1"],
+            }[command]
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, command, *map(str, argv)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert "error: Unable to allocate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command boundary: random argv, Phoenix headers, checkpoint bytes
+# and sidecar text give exit 0, 1 or 2 and never a traceback; chips stay at
+# most 64 x 64 and widths at most 64, so every run is small
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "desk.cfg").write_text("seed = 3\ndata.per_class_train = 4\n"
+                                   "data.per_class_test = 2\ntrain.epochs = 1\n")
+    write_image("pgm", root / "chip.pgm", np.full((32, 32), 0.5))
+    (root / "chip.raw").write_bytes(write_phoenix(np.eye(40, 28)))
+    _run_quietly(["train", "--config", str(root / "desk.cfg"), "--attention", "se",
+                  "--out", str(root / "m.ckpt")], root, expect=0)
+    _run_quietly(["synth-gen", "--out", str(root / "data"), "--per-class", "2"], root, expect=0)
+    (root / "out").mkdir()
+    return root
+
+
+def _run_quietly(argv, cwd, expect=(0, 1, 2)):
+    """Run in ``cwd``, where an empty or relative output path lands."""
+    err, home = io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = run_command(argv)
+    finally:
+        os.chdir(home)
+    assert status in (expect if isinstance(expect, tuple) else (expect,)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    return status
+
+
+def _fuzz_flags(root):
+    """Per command, each flag's value strategy: mostly valid, sometimes junk."""
+    def one_of(*values):
+        valid = st.sampled_from([str(v) for v in values])
+        return st.one_of(valid, valid, valid, st.text(max_size=6))
+
+    def ints(low, high):
+        valid = st.integers(low, high).map(str)
+        return st.one_of(valid, valid, valid, st.text(max_size=4))
+
+    outs = st.sampled_from([str(root / "out" / name) for name in ("a", "b.ckpt", "c.ppm")]
+                           + [str(root / "out"), ""])
+    model = one_of(root / "m.ckpt", root / "out" / "b.ckpt", root / "missing.ckpt",
+                   root / "desk.cfg")
+    kinds = one_of("none", "se", "eca", "cbam")
+    floats = st.floats(allow_nan=True, allow_infinity=True).map(str)
+    return {
+        "train": {"--config": one_of(root / "desk.cfg", root / "missing.cfg", root / "m.ckpt"),
+                  "--seed": ints(-3, 9), "--attention": kinds,
+                  "--insertion": one_of("in_block", "residual_wrap"),
+                  "--epochs": ints(-1, 2), "--trials": ints(-1, 2), "--out": outs,
+                  "--variants": st.lists(kinds, max_size=4).map(",".join),
+                  "--ckpt-dir": outs},
+        "eval": {"--seed": ints(-3, 9), "--model": model, "--split": one_of("test", "train"),
+                 "--data": one_of(root / "data", root, root / "chip.pgm"),
+                 "--perturb-std": st.one_of(floats, st.sampled_from(["0", "0.05"])),
+                 "--trials": ints(-1, 3), "--batch-size": ints(-1, 8), "--out": outs},
+        "gradcam": {"--model": model, "--class": ints(-2, 4), "--out": outs,
+                    "--image": one_of(root / "chip.pgm", root / "chip.raw", root / "m.ckpt",
+                                      root / "missing.pgm"),
+                    "--layer": one_of("stem", "stage1.0", "stage4.1", "stage9.9"),
+                    "--alpha": st.one_of(floats, st.sampled_from(["0", "0.5", "1"]))},
+        "synth-gen": {"--out": outs, "--classes": ints(-1, 16), "--per-class": ints(-1, 2),
+                      "--seed": ints(-3, 9), "--size": ints(-1, 64),
+                      "--split": one_of("train", "test"), "--looks": ints(-1, 3)},
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_argv_exits_with_a_status(fuzz_root, data):
+    flags = _fuzz_flags(fuzz_root)
+    command = data.draw(st.sampled_from(sorted(flags) + ["frob"]))
+    # valid required flags first, so that most runs get past argparse; a train
+    # run without this config would be the 15-epoch default
+    model, chip = str(fuzz_root / "m.ckpt"), str(fuzz_root / "chip.pgm")
+    argv = [command] + {"train": ["--config", str(fuzz_root / "desk.cfg")],
+                        "eval": ["--model", model, "--data", str(fuzz_root / "data")],
+                        "gradcam": ["--model", model, "--image", chip, "--class", "0",
+                                    "--out", str(fuzz_root / "out" / "c.ppm")],
+                        "synth-gen": ["--out", str(fuzz_root / "out" / "a")]}.get(command, [])
+    for _ in range(data.draw(st.integers(0, 4))):
+        table = flags.get(command) or flags["eval"]
+        flag = data.draw(st.sampled_from(sorted(table)))
+        argv += [flag, data.draw(table[flag])]
+    argv += data.draw(st.lists(st.sampled_from(["--help", "-x", "--", "5"]) | st.text(max_size=4),
+                               max_size=1))
+    _run_quietly(argv, fuzz_root / "out")
+
+
+_ASCII = st.characters(max_codepoint=127)
+
+
+def _mutated(data, raw: bytes, max_edits=3) -> bytes:
+    """``raw`` truncated, with a few bytes overwritten, or both."""
+    raw = bytearray(raw[:data.draw(st.integers(0, len(raw)))] if data.draw(st.booleans())
+                    else raw)
+    for _ in range(data.draw(st.integers(0, max_edits)) if raw else 0):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_random_phoenix_chips_exit_with_a_status(fuzz_root, data):
+    rows, cols = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 64))
+    magnitude = np.random.default_rng(data.draw(st.integers(0, 9))).uniform(size=(rows, cols))
+    header = dict(data.draw(st.lists(st.tuples(
+        st.sampled_from(["NumberOfRows", "NumberOfColumns", "PhoenixHeaderLength", "Junk"]),
+        st.one_of(st.integers(-2, 70).map(str), st.text(_ASCII, max_size=5))), max_size=3)))
+    raw = _mutated(data, write_phoenix(magnitude, header))
+    with tempfile.TemporaryDirectory() as tmp:
+        chip = Path(tmp) / "test" / "a" / "chip.raw"
+        chip.parent.mkdir(parents=True)
+        chip.write_bytes(raw)
+        model = str(fuzz_root / "m.ckpt")
+        _run_quietly(["eval", "--model", model, "--data", tmp], tmp)
+        _run_quietly(["gradcam", "--model", model, "--image", str(chip), "--class", "1",
+                      "--out", str(Path(tmp) / "cam.ppm")], tmp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_random_checkpoints_and_sidecars_exit_with_a_status(fuzz_root, data):
+    ckpt = _mutated(data, (fuzz_root / "m.ckpt").read_bytes())
+    lines = (fuzz_root / "m.ckpt.cfg").read_text().splitlines()
+    value = st.one_of(st.integers(-1, 64).map(str), st.text(max_size=6),
+                      st.lists(st.integers(0, 64).map(str), max_size=5).map(",".join),
+                      st.sampled_from(["none", "se", "eca", "cbam", "residual_wrap"]))
+    for _ in range(data.draw(st.integers(0, 3))):
+        index = data.draw(st.integers(0, len(lines) - 1))
+        key = lines[index].partition(" = ")[0]
+        lines[index] = data.draw(st.one_of(value.map(f"{key} = ".__add__), st.text(max_size=12)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(ckpt)
+        Path(str(path) + ".cfg").write_text("\n".join(lines) + "\n")
+        _run_quietly(["eval", "--model", str(path), "--data", str(fuzz_root / "data")], tmp)
+        _run_quietly(["gradcam", "--model", str(path), "--image", str(fuzz_root / "chip.pgm"),
+                      "--class", "0", "--out", str(Path(tmp) / "cam.ppm")], tmp)

@@ -54,6 +54,12 @@ def test_readme_config_block_matches_schema():
     assert lines == [_schema_line(key, *spec) for key, spec in cfgmod.SCHEMA.items()]
 
 
+def test_readme_names_every_module():
+    listed = set(re.findall(r"^- `attnatr\.(\w+)`", README.read_text(), re.MULTILINE))
+    modules = {path.stem for path in Path(cfgmod.__file__).parent.glob("*.py")}
+    assert listed == modules - {"__init__"}
+
+
 # mostly schema keys and well-formed lines, so that many configs get past
 # ``resolve`` into the readers; free text brings newlines, '#' and '='
 _keys = st.sampled_from(sorted(cfgmod.SCHEMA) + ["train.epoch", "model.depth", ""])

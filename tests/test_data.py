@@ -57,6 +57,15 @@ def test_phoenix_non_integer_geometry():
         parse_mstar_phoenix(text.encode())
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_phoenix_non_finite_magnitude(value):
+    # one such pixel would turn the whole normalized chip into NaN
+    mag = np.random.default_rng(4).uniform(size=(5, 6))
+    mag[2, 3] = value
+    with pytest.raises(PhoenixError, match="non-finite"):
+        parse_mstar_phoenix(write_phoenix(mag))
+
+
 def test_phoenix_crop_and_pad(tmp_path):
     chip = tmp_path / "chip.raw"
     for side in (6, 2):
@@ -348,3 +357,16 @@ def test_center_crop_and_pad():
     assert padded.shape == (4, 4)
     assert padded.sum() == 4.0
     assert padded[1, 1] == 1.0
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (7, 3), (2, 7), (4, 4), (1, 9)])
+def test_center_crop_or_pad_centers_each_axis_on_its_own(shape):
+    img = (np.arange(np.prod(shape)) + 1).reshape(shape).astype(np.uint8)
+    rows, cols = (min(n, 4) for n in shape)
+    r0, c0 = (shape[0] - rows) // 2, (shape[1] - cols) // 2
+    t0, l0 = (4 - rows) // 2, (4 - cols) // 2
+    want = np.zeros((4, 4), dtype=np.uint8)
+    want[t0:t0 + rows, l0:l0 + cols] = img[r0:r0 + rows, c0:c0 + cols]
+    got = center_crop_or_pad(img, 4)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == want.tobytes()

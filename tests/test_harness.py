@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attnatr import config as cfgmod
+from attnatr.attention import ATTENTION_KINDS
 from attnatr.backbone import build_resnet18, desk_config
 from attnatr.data import Dataset, SarImage, SynthConfig, synth_dataset
 from attnatr.harness import (HarnessError, PerturbSpec, TrialReport,
@@ -119,6 +120,37 @@ def test_accuracy_batch_size_invariance():
     ds = synth_dataset(SynthConfig(per_class_test=7, seed=7), "test")
     model = build_resnet18(desk_config(), seed=8)
     assert top1_accuracy(model, ds, batch_size=1) == top1_accuracy(model, ds, batch_size=32)
+
+
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+def test_accuracy_batch_size_contract(attention, monkeypatch):
+    # convolutions and ECA's 1-D conv work per sample, so their features are
+    # bitwise the same at any batch size; a linear layer (the head, the SE and
+    # CBAM MLPs) multiplies the batch at once and may round by row count
+    ds = synth_dataset(SynthConfig(per_class_test=14, seed=7), "test")
+    model = build_resnet18(desk_config(attention), seed=8)
+    head = model.head.forward
+
+    def run(batch_size):
+        seen = []
+
+        def recording_head(pooled):
+            logits = head(pooled)
+            seen.append((pooled.data.copy(), logits.data.copy()))
+            return logits
+
+        monkeypatch.setattr(model.head, "forward", recording_head)
+        acc = top1_accuracy(model, ds, batch_size)
+        return acc, np.concatenate([p for p, _ in seen]), np.concatenate([l for _, l in seen])
+
+    acc1, pooled1, logits1 = run(1)
+    for batch_size in (2, 8):
+        acc, pooled, logits = run(batch_size)
+        if attention in ("none", "eca"):
+            assert pooled.tobytes() == pooled1.tobytes()
+        assert np.abs(pooled - pooled1).max() <= 1e-15
+        assert np.abs(logits - logits1).max() <= 1e-15
+        assert acc == acc1
 
 
 def test_train_settings_from_reads_the_train_keys():
