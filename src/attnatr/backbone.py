@@ -31,7 +31,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class ModelConfig:
-    in_channels: int = 1
     input_size: int = 128
     num_classes: int = 10
     stage_widths: tuple = (64, 128, 256, 512)
@@ -44,8 +43,6 @@ class ModelConfig:
 
     def validate(self):
         bad = []
-        if self.in_channels < 1:
-            bad.append(f"in_channels={self.in_channels} (need >= 1)")
         if self.input_size < 32:
             bad.append(f"input_size={self.input_size} (need >= 32)")
         if self.num_classes < 2:
@@ -130,7 +127,7 @@ class ResNet(Module):
         self.seed = seed
         rng = SplitMix64(seed) if init else ZeroStream()
         w = cfg.stage_widths
-        self.stem_conv = Conv2d(cfg.in_channels, w[0], 7, stride=2, padding=3,
+        self.stem_conv = Conv2d(1, w[0], 7, stride=2, padding=3,
                                 bias=False, rng=rng.split("stem"))
         self.stem_bn = BatchNorm2d(w[0])
         self.stages: list[list[BasicBlock]] = []
@@ -174,11 +171,9 @@ class ResNet(Module):
         return self._head(_run(steps[cut:], acts, "eval")), acts
 
     def _checked(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.cfg.in_channels \
-                or x.shape[2] != self.cfg.input_size or x.shape[3] != self.cfg.input_size:
-            raise LayerError(
-                f"model expects (N, {self.cfg.in_channels}, {self.cfg.input_size}, "
-                f"{self.cfg.input_size}) input, got {x.shape}")
+        size = self.cfg.input_size
+        if x.ndim != 4 or x.shape[1:] != (1, size, size):
+            raise LayerError(f"model expects (N, 1, {size}, {size}) input, got {x.shape}")
         return x
 
     def _stem(self, x: Tensor, mode: str) -> Tensor:

@@ -27,7 +27,6 @@ SCHEMA = {
     "model.reduction": ("16", int, None, "SE and CBAM channel reduction ratio"),
     "model.eca_gamma": ("16", int, None, "ECA kernel-size gamma"),
     "model.spatial_kernel": ("7", int, None, "CBAM spatial kernel size, odd"),
-    "data.source": ("synth", str, ("synth",), "the seeded synthetic dataset"),
     "data.classes": ("3", int, 1, "target classes; a model needs 2 or more, synth at most 15"),
     "data.per_class_train": ("100", int, 1, "training chips per class"),
     "data.per_class_test": ("50", int, 1, "test chips per class"),

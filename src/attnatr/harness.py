@@ -210,7 +210,7 @@ def train_settings_from(cfg: dict) -> tuple:
 
 
 def datasets_from(cfg: dict) -> tuple:
-    """(train, test) of a resolved config; ``synth`` is the one ``data.source``."""
+    """(train, test) synthetic datasets of a resolved config."""
     synth_cfg = synth_config_from(cfg)
     return synth_dataset(synth_cfg, "train"), synth_dataset(synth_cfg, "test")
 

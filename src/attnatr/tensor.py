@@ -108,9 +108,6 @@ class Tensor:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):

@@ -21,7 +21,7 @@ def randx(shape, seed=0):
 def expected_param_count(cfg: ModelConfig) -> int:
     """Closed-form audit of the attention-free parameter count."""
     w = cfg.stage_widths
-    total = cfg.in_channels * w[0] * 49 + 2 * w[0]  # stem conv + bn
+    total = w[0] * 49 + 2 * w[0]  # stem conv + bn
     prev = w[0]
     for s, width in enumerate(w):
         for b in range(cfg.blocks_per_stage):

@@ -389,6 +389,20 @@ def test_load_model_draws_no_init_values(tmp_path, monkeypatch):
     assert states[0] == states[1]
 
 
+def test_load_model_ignores_an_old_in_channels_sidecar_line(tmp_path):
+    model = build_resnet18(desk_config("se"), seed=5)
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+    sidecar = tmp_path / "m.ckpt.cfg"
+    text = sidecar.read_text()
+    assert "in_channels" not in text
+    old = cfgmod.format_config({**cfgmod.parse_config(text), "model.in_channels": "1"})
+    sidecar.write_text(old)
+    clone = load_model(path)
+    assert clone.cfg == model.cfg and clone.seed == 5
+    assert dump_tensors(clone.named_state()) == path.read_bytes()
+
+
 def test_load_model_requires_sidecar(tmp_path):
     model = build_resnet18(desk_config(), seed=1)
     from attnatr.checkpoint import save_checkpoint
