@@ -17,8 +17,8 @@ from .backbone import INSERTION_MODES
 from .data import load_dataset, read_chip, write_image, write_synth_dir
 from .explain import gradcam_map, overlay_heatmap
 from .harness import (PerturbSpec, TrialReport, datasets_from, format_report,
-                      load_model, perturb_dataset, run_protocol, save_model,
-                      synth_config_from, top1_accuracy, train_variant)
+                      load_model, model_config_from, perturb_dataset, run_protocol,
+                      save_model, synth_config_from, top1_accuracy, train_variant)
 from .rng import derive_seed
 
 
@@ -31,42 +31,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _path(text: str) -> str:
+    """argparse type of every path flag: an empty path is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="attnatr", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     # the dest of each config override flag is the key it overrides
     p = sub.add_parser("train", help="train one model or run the full protocol")
-    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--config", type=_path, help="flat key = value config file")
     p.add_argument("--seed", type=int, help="base seed override")
     p.add_argument("--attention", dest="model.attention", choices=ATTENTION_KINDS)
     p.add_argument("--insertion", dest="model.insertion", choices=INSERTION_MODES)
     p.add_argument("--epochs", dest="train.epochs", type=int)
     p.add_argument("--variants", help="comma list of attention kinds; runs the protocol")
     p.add_argument("--trials", dest="protocol.trials", type=int)
-    p.add_argument("--out", help="checkpoint path (single model) or report path (protocol)")
-    p.add_argument("--ckpt-dir", help="directory for per-trial protocol checkpoints")
+    p.add_argument("--out", type=_path,
+                   help="checkpoint path (single model) or report path (protocol)")
+    p.add_argument("--ckpt-dir", type=_path, help="directory for per-trial protocol checkpoints")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint, optionally under noise")
     p.add_argument("--seed", type=int, default=0, help="base seed of the noise trials")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True, help="dataset directory")
+    p.add_argument("--model", type=_path, required=True)
+    p.add_argument("--data", type=_path, required=True, help="dataset directory")
     p.add_argument("--split", default="test", help="split directory to evaluate")
     p.add_argument("--perturb-std", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--out", help="also write the report to this file")
+    p.add_argument("--out", type=_path, help="also write the report to this file")
 
     p = sub.add_parser("gradcam", help="emit a saliency overlay for one image")
-    p.add_argument("--model", required=True)
-    p.add_argument("--image", required=True, help="input PGM or Phoenix chip")
+    p.add_argument("--model", type=_path, required=True)
+    p.add_argument("--image", type=_path, required=True, help="input PGM or Phoenix chip")
     p.add_argument("--class", dest="target_class", type=int, required=True)
-    p.add_argument("--out", required=True, help="output PPM path")
+    p.add_argument("--out", type=_path, required=True, help="output PPM path")
     p.add_argument("--layer", help="feature layer name (default: deepest)")
     p.add_argument("--alpha", type=float, default=0.5)
 
     p = sub.add_parser("synth-gen", help="materialize a synthetic dataset directory")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.add_argument("--classes", dest="data.classes", type=int)
     p.add_argument("--per-class", type=int, default=50, help="chips per class")
     p.add_argument("--seed", type=int, default=0)
@@ -106,6 +114,7 @@ def _cmd_train(args) -> int:
         return 0
     if not args.out:
         raise UsageError("train: --out CHECKPOINT is required for a single-model run")
+    model_config_from(resolved)  # a bad model key fails before any data is built
     train_ds, test_ds = datasets_from(resolved)
     variant = resolved["model.attention"]
     model, losses = train_variant(resolved, variant, cfgmod.get(resolved, "seed"),

@@ -252,7 +252,8 @@ def save_model(path, model: ResNet):
 
 def load_model(path) -> ResNet:
     """Rebuild a model from a checkpoint and its topology sidecar, skipping
-    the init draws: the checkpoint overwrites every value."""
+    the init draws: the checkpoint overwrites every value, and a NaN or
+    infinite value is an error naming the first tensor that holds one."""
     sidecar_path = Path(str(path) + ".cfg")
     if not sidecar_path.is_file():
         raise HarnessError(
@@ -262,7 +263,11 @@ def load_model(path) -> ResNet:
     cfg = ModelConfig(**{f.name: _SIDECAR_GETTERS[type(f.default)](side, f"model.{f.name}")
                          for f in fields(ModelConfig)})
     model = build_resnet18(cfg, seed=cfgmod.get_int(side, "model.seed"), init=False)
-    model.load_state(load_checkpoint(path))
+    state = load_checkpoint(path)
+    for name, values in state.items():
+        if not np.isfinite(values).all():
+            raise HarnessError(f"checkpoint {path}: tensor {name!r} holds a non-finite value")
+    model.load_state(state)
     return model
 
 

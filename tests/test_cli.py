@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attnatr import config as cfgmod
+from attnatr.checkpoint import load_checkpoint, save_checkpoint
 from attnatr.cli import run_command
 from attnatr.data import write_image, write_phoenix
 from attnatr.harness import run_protocol, top1_accuracy
@@ -433,6 +434,62 @@ def test_an_impossible_allocation_is_a_runtime_error(tmp_path, small_cfg, capsys
 # fuzzing the command boundary: random argv, Phoenix headers, checkpoint bytes
 # and sidecar text give exit 0, 1 or 2 and never a traceback; chips stay at
 # most 64 x 64 and widths at most 64, so every run is small
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--variants", "none", "--trials", "1", "--config", ""],
+    ["train", "--variants", "none", "--trials", "1", "--ckpt-dir", ""],
+    ["train", "--variants", "none", "--trials", "1", "--out", ""],
+    ["train", "--out", ""],
+    ["eval", "--model", "", "--data", "d"],
+    ["eval", "--model", "m.ckpt", "--data", ""],
+    ["eval", "--model", "m.ckpt", "--data", "d", "--out", ""],
+    ["gradcam", "--model", "", "--image", "c.pgm", "--class", "0", "--out", "c.ppm"],
+    ["gradcam", "--model", "m.ckpt", "--image", "", "--class", "0", "--out", "c.ppm"],
+    ["gradcam", "--model", "m.ckpt", "--image", "c.pgm", "--class", "0", "--out", ""],
+    ["synth-gen", "--out", ""]])
+def test_an_empty_path_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 1
+    flag = argv[argv.index("") - 1]
+    assert f"argument {flag}: expected a non-empty path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value, name", [(np.nan, "head.bias"),
+                                         (np.inf, "stage2.0.bn1.running_var")])
+def test_a_non_finite_checkpoint_value_is_a_runtime_error(tmp_path, small_cfg, capsys,
+                                                          value, name):
+    ckpt, cam = tmp_path / "m.ckpt", tmp_path / "cam.ppm"
+    assert run_command(["train", "--config", small_cfg, "--attention", "cbam",
+                        "--out", str(ckpt)]) == 0
+    assert run_command(["synth-gen", "--out", str(tmp_path / "d"), "--per-class", "1"]) == 0
+    state = load_checkpoint(ckpt)
+    state[name].flat[1] = value
+    save_checkpoint(ckpt, state.items())
+    capsys.readouterr()
+    for argv in (["eval", "--model", str(ckpt), "--data", str(tmp_path / "d")],
+                 ["gradcam", "--model", str(ckpt), "--image", str(tmp_path / "d" / "test"
+                  / "0_disk" / "00000.pgm"), "--class", "0", "--out", str(cam)]):
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: checkpoint {ckpt}: tensor {name!r}" in captured.err
+    assert not cam.exists()
+
+
+def test_train_checks_the_model_keys_before_any_data(tmp_path, small_cfg, capsys,
+                                                     monkeypatch):
+    def no_data(*args):
+        raise AssertionError("data synthesized before the model keys were checked")
+
+    monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
+    with open(small_cfg, "a") as fh:
+        fh.write("model.reduction = 0\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["train", "--config", small_cfg, "--out", "m.ckpt"]) == 2
+    assert "invalid model config: reduction=0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
 
 
 @pytest.fixture(scope="module")
