@@ -98,7 +98,7 @@ def _emit(text: str, out_path=None):
 
 
 def _cmd_train(args) -> int:
-    protocol = bool(args.variants)
+    protocol = args.variants is not None
     if protocol and getattr(args, "model.attention") is not None:
         raise UsageError("train: --attention cannot be used with --variants")
     stray = [flag for flag, value in (("--trials", getattr(args, "protocol.trials")),

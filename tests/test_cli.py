@@ -478,6 +478,13 @@ def test_a_non_finite_checkpoint_value_is_a_runtime_error(tmp_path, small_cfg, c
     assert not cam.exists()
 
 
+def test_an_empty_variants_list_is_an_error(tmp_path, small_cfg, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["train", "--config", small_cfg, "--variants", "", "--out", "m.ckpt"]) == 2
+    assert "distinct variants, got []" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
 def test_train_checks_the_model_keys_before_any_data(tmp_path, small_cfg, capsys,
                                                      monkeypatch):
     def no_data(*args):
