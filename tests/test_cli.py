@@ -430,12 +430,6 @@ def test_an_impossible_allocation_is_a_runtime_error(tmp_path, small_cfg, capsys
     assert "Traceback" not in proc.stderr
 
 
-# ---------------------------------------------------------------------------
-# fuzzing the command boundary: random argv, Phoenix headers, checkpoint bytes
-# and sidecar text give exit 0, 1 or 2 and never a traceback; chips stay at
-# most 64 x 64 and widths at most 64, so every run is small
-
-
 @pytest.mark.parametrize("argv", [
     ["train", "--variants", "none", "--trials", "1", "--config", ""],
     ["train", "--variants", "none", "--trials", "1", "--ckpt-dir", ""],
@@ -497,6 +491,12 @@ def test_train_checks_the_model_keys_before_any_data(tmp_path, small_cfg, capsys
     assert run_command(["train", "--config", small_cfg, "--out", "m.ckpt"]) == 2
     assert "invalid model config: reduction=0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command boundary: random argv, Phoenix headers, checkpoint bytes
+# and sidecar text give exit 0, 1 or 2 and never a traceback; chips stay at
+# most 64 x 64 and widths at most 64, so every run is small
 
 
 @pytest.fixture(scope="module")
