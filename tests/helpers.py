@@ -115,6 +115,30 @@ def conv2d_naive(x, w, b=None, stride=(1, 1), padding=(0, 0)):
     return out
 
 
+def conv2d_input_grad_naive(g, w, x_shape, stride=(1, 1), padding=(0, 0)):
+    """Conv input gradient: the patch gradients scattered tap by tap.
+
+    The patch-gradient matrix uses the kernel's own GEMM spelling, so its bits
+    are the kernel's.  Each tap (i, j), in row-major order, then adds its
+    value at one output position at a time into a zeroed padded array, which
+    is cropped: every element sees its taps' additions in (i, j) order.
+    """
+    n, cin, h, wd = x_shape
+    cout, _, kh, kw = w.shape
+    sh, sw = stride
+    ph, pw = padding
+    oh, ow = g.shape[2:]
+    gcols = g.transpose(0, 2, 3, 1).reshape(n, oh * ow, cout) @ w.reshape(cout, -1)
+    gcols = gcols.reshape(n, oh, ow, cin, kh, kw)
+    gxp = np.zeros((n, cin, h + 2 * ph, wd + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            for oi in range(oh):
+                for oj in range(ow):
+                    gxp[:, :, oi * sh + i, oj * sw + j] += gcols[:, oi, oj, :, i, j]
+    return gxp[:, :, ph:ph + h, pw:pw + wd]
+
+
 def im2col_naive(xp, kh, kw, sh, sw):
     """Patch matrix of a padded (N, C, Hp, Wp) array, one output position at a time.
 

@@ -11,9 +11,9 @@ from attnatr.layers import (BatchNorm2d, Conv1d, Conv2d, LayerError, Linear,
                             global_pool, linear, pool2d, softmax_cross_entropy)
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor
-from helpers import (batchnorm_reference, check_gradients, conv2d_naive,
-                     im2col_naive, max_pool_backward_naive, max_pool_first_naive,
-                     pool2d_naive)
+from helpers import (batchnorm_reference, check_gradients, conv2d_input_grad_naive,
+                     conv2d_naive, im2col_naive, max_pool_backward_naive,
+                     max_pool_first_naive, pool2d_naive)
 
 
 def randn(shape, seed=0, scale=1.0):
@@ -129,6 +129,26 @@ def test_conv2d_gradients():
     layer = Conv2d(3, 2, 3, stride=2, padding=1, rng=SplitMix64(6))
     check_gradients(lambda: (layer.forward(x) * layer.forward(x)).sum(),
                     [x, layer.weight, layer.bias], tol=1e-5)
+
+
+@pytest.mark.parametrize("x_shape, w_shape, stride, padding", [
+    ((2, 1, 16, 16), (4, 1, 7, 7), (2, 2), (3, 3)),  # stem: 7x7 stride 2 pad 3
+    ((2, 3, 8, 8), (4, 3, 3, 3), (1, 1), (1, 1)),
+    ((2, 3, 9, 8), (5, 3, 3, 3), (2, 2), (1, 1)),
+    ((2, 4, 8, 9), (6, 4, 1, 1), (2, 2), (0, 0)),    # 1x1 stride-2 downsample
+    ((2, 2, 9, 7), (3, 2, 3, 2), (2, 1), (1, 0)),    # non-square kernel and stride
+    ((3, 2, 8, 8), (1, 2, 7, 7), (1, 1), (3, 3)),    # CBAM spatial conv, 2 -> 1
+])
+def test_conv2d_input_grad_matches_naive_bitwise(x_shape, w_shape, stride, padding):
+    rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = rng.normal(size=w_shape)
+    out = conv2d(x, Tensor(w, requires_grad=True), None, stride, padding)
+    g = rng.normal(size=out.shape)
+    g[rng.uniform(size=g.shape) < 0.3] = -0.0  # signed zeros; at Cout = 1, zero patch rows
+    g[rng.uniform(size=g.shape) < 0.2] = 0.0
+    gx = out.node.backward(g)[0]
+    assert same_bits(gx, conv2d_input_grad_naive(g, w, x_shape, stride, padding))
 
 
 # ---------------------------------------------------------------------------
