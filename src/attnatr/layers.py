@@ -169,17 +169,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     if bias is not None:
         out = out + bias.data
     out = out.transpose(0, 2, 1).reshape(n, cout, oh, ow)
+    hp, wp = xp.shape[2:]
 
     def back(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n, oh * ow, cout)
         gw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(weight.shape)
         gcols = gmat @ wmat  # (N, oh*ow, C*kh*kw)
-        taps = gcols.reshape(n, oh, ow, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        gxp = np.zeros_like(xp)
+        taps = gcols.reshape(n, oh, ow, cin, kh, kw)
+        gxp = np.zeros((n, hp, wp, cin))  # channels-last, like a row of gcols
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += taps[:, :, i, j]
-        gx = gxp[:, :, ph:ph + h, pw:pw + w]
+                gxp[:, i:i + sh * oh:sh, j:j + sw * ow:sw] += taps[..., i, j]
+        gx = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2))
         gb = gmat.sum(axis=(0, 1)) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
@@ -293,12 +294,14 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
         out = _window_max(win)
 
         def back(g):
-            # each window's first argmax, as an offset into its flat (Hp, Wp) map
-            arg = np.argmax(win.reshape(n * c, oh * ow, kh * kw), axis=-1)
-            taps = _patch_index(1, *xp.shape[2:], kh, kw, sh, sw, oh, ow)
-            gxp = np.zeros((n * c, xp[0, 0].size))
-            np.add.at(gxp, (np.arange(n * c)[:, None], taps[np.arange(oh * ow), arg]),
-                      g.reshape(n * c, oh * ow))  # adds in (n, c, oh, ow) order
+            # each window's first argmax, as an offset into the flat (N*C, Hp, Wp) maps
+            hp, wp = xp.shape[2:]
+            maps = xp.reshape(n * c, 1, hp, wp)
+            arg = np.argmax(_im2col(maps, kh, kw, sh, sw, oh, ow), axis=-1)
+            taps = _patch_index(1, hp, wp, kh, kw, sh, sw, oh, ow)
+            at = taps[np.arange(oh * ow), arg] + np.arange(n * c)[:, None] * (hp * wp)
+            gxp = np.bincount(at.ravel(), weights=g.ravel(),  # adds in (n, c, oh, ow) order
+                              minlength=xp.size)
             return (gxp.reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w],)
 
         return apply_op("maxpool2d", out, (x,), back)

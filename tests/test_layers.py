@@ -151,6 +151,20 @@ def test_conv2d_input_grad_matches_naive_bitwise(x_shape, w_shape, stride, paddi
     assert same_bits(gx, conv2d_input_grad_naive(g, w, x_shape, stride, padding))
 
 
+@pytest.mark.parametrize("w_shape, padding", [((4, 3, 3, 3), 1), ((4, 3, 1, 1), 0),
+                                              ((2, 1, 3, 3), 0)])
+def test_conv2d_input_grad_is_fresh_contiguous_nchw(w_shape, padding):
+    x = Tensor(randn((2, w_shape[1], 6, 7), seed=8), requires_grad=True)
+    out = conv2d(x, Tensor(randn(w_shape, seed=9), requires_grad=True), None, 1, padding)
+    g = randn(out.shape, seed=10)
+    g_before, x_before = g.copy(), x.data.copy()
+    gx = out.node.backward(g)[0]
+    assert gx.shape == x.shape and gx.dtype == np.float64 and gx.flags.c_contiguous
+    assert gx.flags.writeable
+    assert not np.shares_memory(gx, g) and not np.shares_memory(gx, x.data)
+    assert same_bits(g, g_before) and same_bits(x.data, x_before)
+
+
 # ---------------------------------------------------------------------------
 # conv1d
 
