@@ -3,10 +3,13 @@
 Convolutions use cross-correlation semantics (no kernel flip) and are
 lowered to matrix products over an im2col layout, gathered by one ``np.take``
 through a read-only offset index; a bounded ``lru_cache`` (thread-safe)
-keeps one index per input and kernel shape.  Max-pool backward scatters
-through the same index, taken for one channel.  The naive-loop oracles in the
-test suite pin the semantics and the patch bytes.  All layers are float64
-and differentiable through the tensor tape.
+keeps one index per input and kernel shape.  Backward reads the patch
+gradients in their own (N, oh, ow, C, kh, kw) layout and adds them tap by
+tap into a zeroed channels-last buffer, then returns a C-contiguous NCHW
+copy, the layout downstream sums round in.  Max-pool backward takes its
+argmax in the same gather and scatters with one ``np.bincount``.  Naive-loop
+oracles pin the semantics and the bytes of the patches and both input
+gradients.  All layers are float64 and differentiable through the tape.
 
 Parameter initialization: weights uniform in +/- sqrt(1/fan_in), biases zero,
 batchnorm scale 1 / shift 0, drawn from a caller-supplied SplitMix64 stream
@@ -296,12 +299,10 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
         def back(g):
             # each window's first argmax, as an offset into the flat (N*C, Hp, Wp) maps
             hp, wp = xp.shape[2:]
-            maps = xp.reshape(n * c, 1, hp, wp)
-            arg = np.argmax(_im2col(maps, kh, kw, sh, sw, oh, ow), axis=-1)
-            taps = _patch_index(1, hp, wp, kh, kw, sh, sw, oh, ow)
-            at = taps[np.arange(oh * ow), arg] + np.arange(n * c)[:, None] * (hp * wp)
-            gxp = np.bincount(at.ravel(), weights=g.ravel(),  # adds in (n, c, oh, ow) order
-                              minlength=xp.size)
+            arg = np.argmax(_im2col(xp.reshape(-1, 1, hp, wp), kh, kw, sh, sw, oh, ow), -1)
+            at = _patch_index(1, hp, wp, kh, kw, sh, sw, oh, ow)[np.arange(oh * ow), arg]
+            at += np.arange(n * c)[:, None] * (hp * wp)  # bincount adds in (n, c, oh, ow) order
+            gxp = np.bincount(at.ravel(), weights=g.ravel(), minlength=xp.size)
             return (gxp.reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w],)
 
         return apply_op("maxpool2d", out, (x,), back)
