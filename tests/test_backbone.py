@@ -136,9 +136,10 @@ def sha256(*arrays) -> str:
 
 # sha256 of eval-path bytes, recorded while im2col still copied a strided
 # window view and eval batchnorm still built fresh temporaries; a respelt
-# kernel must reproduce them exactly.  "grads" is every parameter gradient
-# of the desk cbam train step, "full" the logits of a full-profile cbam
-# batch-1 eval forward (the 128x128 stem shapes), "gradcam" its default map.
+# kernel must reproduce them exactly.  ("grads", attention, insertion) is
+# every parameter gradient of that desk train step, "full" the logits of a
+# full-profile cbam batch-1 eval forward (the 128x128 stem shapes),
+# "gradcam" its default map.
 PINNED_EVAL = {
     ("none", "in_block"):
         "3e13e8f6df7aa6a07abb2d49a3b960f32eb40d7ecca710ffb692d90cd0081bc1",
@@ -156,8 +157,22 @@ PINNED_EVAL = {
         "77c90906b9cb35c04adf36685c551711ef29d97637fd868e58cdc996204ad5b2",
     ("cbam", "residual_wrap"):
         "031886717c05249fe59bdbc852e0fa7b3c0d437e0e3f14abbcb9573ebd4763b5",
-    "grads":
+    ("grads", "none", "in_block"):
+        "3d211a1e48dfb08815856bd02dcd35380c425368157797763a33a33924437c78",
+    ("grads", "none", "residual_wrap"):
+        "3d211a1e48dfb08815856bd02dcd35380c425368157797763a33a33924437c78",
+    ("grads", "se", "in_block"):
+        "ac651add5058501456408ee60af01afa072dc9060a41900cefd5ae1370f8884d",
+    ("grads", "se", "residual_wrap"):
+        "eb93f2fa9788312132d4a35b7165c84bfa7404c0a57cf896e76fe5c4a26847da",
+    ("grads", "eca", "in_block"):
+        "1b1ecbeb6ccff1bb0dce7e6b0822fa103f88df3a69bbdfba3d9509fe6f62a2b7",
+    ("grads", "eca", "residual_wrap"):
+        "2536e36169cc2b258edaf9ed0b30e7571ab58746bc1214f8e5b9ade44d7fd46e",
+    ("grads", "cbam", "in_block"):
         "400250144efd62af6b811cf1357eaa792a21426dcf90328bc361e0bbad3b5130",
+    ("grads", "cbam", "residual_wrap"):
+        "20500192a8ff096bf0d42d62732aa0ea14390daa746d7c755161758272b3c2a5",
     "full":
         "4de13cadf67ab7860fa095d01fccdd28b30b2f97e0a06ddf38f3f80eb1e2776f",
     "gradcam":
@@ -175,8 +190,7 @@ def test_eval_path_bytes_are_pinned():
             # one momentum step moves gamma, beta and the running statistics
             opt = SgdOptimizer(model.named_params(), lr=0.1, momentum=0.9)
             softmax_cross_entropy(model.forward(Tensor(x), "train"), labels).backward()
-            if (attention, insertion) == ("cbam", "in_block"):
-                got["grads"] = sha256(*(p.grad for _, p in model.named_params()))
+            got["grads", attention, insertion] = sha256(*(p.grad for _, p in model.named_params()))
             opt.step()
             with no_grad():
                 got[(attention, insertion)] = sha256(model.forward(Tensor(x[::-1]), "eval").data)
