@@ -16,23 +16,19 @@ from .rng import SplitMix64
 from .tensor import Tensor, concat, relu, sigmoid
 
 
-def _check_channels(block, u):
+def _gate_channels(block, u: Tensor, excite):
+    """Gate u's channels by the sigmoid of ``excite(squeeze)``.
+
+    ``squeeze(kind)`` pools each channel of u to an (N, C) descriptor.
+    Returns (gates (N, C, 1, 1), gated map).
+    """
     if u.ndim != 4 or u.shape[1] != block.channels:
         raise LayerError(
             f"{type(block).__name__} built for {block.channels} channels, "
             f"got input shape {u.shape}")
-
-
-def _gate_channels(block, u: Tensor, excite) -> Tensor:
-    """Average-pool each channel, excite, and rescale channels by the sigmoid."""
-    _check_channels(block, u)
     n, c = u.shape[0], u.shape[1]
-    s = sigmoid(excite(global_pool("avg", u).reshape(n, c)))
-    return u * s.reshape(n, c, 1, 1)
-
-
-def _hidden_width(channels: int, reduction: int) -> int:
-    return max(1, channels // reduction)
+    gates = sigmoid(excite(lambda kind: global_pool(kind, u).reshape(n, c))).reshape(n, c, 1, 1)
+    return gates, gates * u
 
 
 class SeBlock(Module):
@@ -45,14 +41,16 @@ class SeBlock(Module):
     def __init__(self, channels: int, reduction: int = 16,
                  rng: SplitMix64 | None = None):
         rng = rng or SplitMix64(0)
-        hidden = _hidden_width(channels, reduction)
+        hidden = max(1, channels // reduction)
         self.channels = channels
-        self.reduction = reduction
         self.fc1 = Linear(channels, hidden, bias=False, rng=rng.split("fc1"))
         self.fc2 = Linear(hidden, channels, bias=False, rng=rng.split("fc2"))
 
+    def _mlp(self, d: Tensor) -> Tensor:
+        return self.fc2.forward(relu(self.fc1.forward(d)))
+
     def forward(self, u: Tensor) -> Tensor:
-        return _gate_channels(self, u, lambda z: self.fc2.forward(relu(self.fc1.forward(z))))
+        return _gate_channels(self, u, lambda squeeze: self._mlp(squeeze("avg")))[1]
 
     def children(self):
         return (("0", self.fc1), ("1", self.fc2))
@@ -78,22 +76,21 @@ class EcaBlock(Module):
     def __init__(self, channels: int, gamma: int = 16,
                  rng: SplitMix64 | None = None):
         self.channels = channels
-        self.gamma = gamma
         self.kernel_size = eca_kernel_size(channels, gamma)
         self.conv = Conv1d(self.kernel_size, rng=(rng or SplitMix64(0)).split("conv"))
 
     def forward(self, u: Tensor) -> Tensor:
-        return _gate_channels(self, u, self.conv.forward)
+        return _gate_channels(self, u, lambda squeeze: self.conv.forward(squeeze("avg")))[1]
 
     def children(self):
         return (("0", self.conv),)
 
 
-class CbamBlock(Module):
+class CbamBlock(SeBlock):
     """Convolutional block attention: a channel pass then a spatial pass.
 
-    The channel pass feeds average- and max-pooled descriptors through one
-    shared bias-free MLP and gates channels with the sigmoid of their sum.
+    The channel pass feeds average- and max-pooled descriptors through SE's
+    bias-free bottleneck MLP and gates channels with the sigmoid of their sum.
     The spatial pass stacks the per-pixel channel mean and max into a
     two-plane map, convolves it down to one plane, and gates pixels.
     """
@@ -103,27 +100,15 @@ class CbamBlock(Module):
         if spatial_kernel % 2 == 0:
             raise LayerError(f"spatial kernel must be odd, got {spatial_kernel}")
         rng = rng or SplitMix64(0)
-        hidden = _hidden_width(channels, reduction)
-        self.channels = channels
-        self.reduction = reduction
-        self.spatial_kernel = spatial_kernel
-        self.fc1 = Linear(channels, hidden, bias=False, rng=rng.split("fc1"))
-        self.fc2 = Linear(hidden, channels, bias=False, rng=rng.split("fc2"))
+        super().__init__(channels, reduction, rng)
         self.spatial = Conv2d(2, 1, spatial_kernel, stride=1,
                               padding=(spatial_kernel - 1) // 2, bias=False,
                               rng=rng.split("spatial"))
 
-    def _mlp(self, d: Tensor) -> Tensor:
-        return self.fc2.forward(relu(self.fc1.forward(d)))
-
     def channel_attention(self, f: Tensor):
         """Return (gates (N, C, 1, 1), gated map)."""
-        _check_channels(self, f)
-        n, c = f.shape[0], f.shape[1]
-        avg_d = global_pool("avg", f).reshape(n, c)
-        max_d = global_pool("max", f).reshape(n, c)
-        m_c = sigmoid(self._mlp(avg_d) + self._mlp(max_d)).reshape(n, c, 1, 1)
-        return m_c, m_c * f
+        return _gate_channels(
+            self, f, lambda squeeze: self._mlp(squeeze("avg")) + self._mlp(squeeze("max")))
 
     def spatial_attention(self, f_c: Tensor):
         """Return (gates (N, 1, H, W), gated map)."""
@@ -138,7 +123,7 @@ class CbamBlock(Module):
         return f_s
 
     def children(self):
-        return (("0", self.fc1), ("1", self.fc2), ("2", self.spatial))
+        return super().children() + (("2", self.spatial),)
 
 
 ATTENTION_KINDS = ("none", "se", "eca", "cbam")
