@@ -3,10 +3,11 @@
 Convolutions use cross-correlation semantics (no kernel flip) and are
 lowered to matrix products over an im2col layout, gathered by one ``np.take``
 through a read-only offset index; a bounded ``lru_cache`` (thread-safe)
-keeps one index per input and kernel shape.  Backward reads the patch
-gradients in their own (N, oh, ow, C, kh, kw) layout and adds them tap by
-tap into a zeroed channels-last buffer, then returns a C-contiguous NCHW
-copy, the layout downstream sums round in.  Max-pool backward takes its
+keeps one index per input and kernel shape.  Backward builds an input
+gradient only for an input that needs one: it reads the patch gradients in
+their own (N, oh, ow, C, kh, kw) layout, adds them tap by tap into a zeroed
+channels-last buffer and returns a C-contiguous NCHW copy, the layout
+downstream sums round in.  Max-pool backward takes its
 argmax in the same gather and scatters with one ``np.bincount``.  Naive-loop
 oracles pin the semantics and the bytes of the patches and both input
 gradients.  All layers are float64 and differentiable through the tape.
@@ -177,13 +178,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     def back(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n, oh * ow, cout)
         gw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(weight.shape)
-        gcols = gmat @ wmat  # (N, oh*ow, C*kh*kw)
-        taps = gcols.reshape(n, oh, ow, cin, kh, kw)
-        gxp = np.zeros((n, hp, wp, cin))  # channels-last, like a row of gcols
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i:i + sh * oh:sh, j:j + sw * ow:sw] += taps[..., i, j]
-        gx = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2))
+        gx = None  # Tensor.backward skips an input that needs no gradient
+        if x.requires_grad:
+            taps = (gmat @ wmat).reshape(n, oh, ow, cin, kh, kw)  # the patch gradients
+            gxp = np.zeros((n, hp, wp, cin))  # channels-last, like a row of taps
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, i:i + sh * oh:sh, j:j + sw * ow:sw] += taps[..., i, j]
+            gx = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2))
         gb = gmat.sum(axis=(0, 1)) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 

@@ -165,6 +165,20 @@ def test_conv2d_input_grad_is_fresh_contiguous_nchw(w_shape, padding):
     assert same_bits(g, g_before) and same_bits(x.data, x_before)
 
 
+@pytest.mark.parametrize("bias", [False, True])
+def test_conv2d_skips_the_gradient_of_an_input_that_needs_none(bias):
+    x_data, w = randn((2, 1, 9, 9), seed=11), Tensor(randn((4, 1, 7, 7), seed=12),
+                                                    requires_grad=True)
+    b = Tensor(randn((4,), seed=13), requires_grad=True) if bias else None
+    frozen = conv2d(Tensor(x_data), w, b, 2, 3)
+    live = conv2d(Tensor(x_data, requires_grad=True), w, b, 2, 3)
+    g = randn(frozen.shape, seed=14)
+    got, want = frozen.node.backward(g), live.node.backward(g)
+    assert got[0] is None and want[0] is not None
+    for a, e in zip(got[1:], want[1:]):
+        assert same_bits(a, e)
+
+
 # ---------------------------------------------------------------------------
 # conv1d
 
