@@ -153,6 +153,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcam(args) -> int:
+    if not 0 <= args.alpha <= 1:
+        raise UsageError(f"gradcam: --alpha must be in [0, 1], got {args.alpha}")
     model = load_model(args.model)
     pixels = read_chip(args.image, model.cfg.input_size)
     smap = gradcam_map(model, pixels, args.target_class, args.layer)

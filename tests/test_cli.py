@@ -277,6 +277,17 @@ def test_eval_rejects_bad_perturb_std(tmp_path, capsys, value):
     assert "--perturb-std must be finite and at least 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["2", "nan", "-0.5"])
+def test_gradcam_rejects_an_alpha_outside_the_unit_interval(tmp_path, capsys, value):
+    cam = tmp_path / "cam.ppm"
+    status = run_command(["gradcam", "--model", str(tmp_path / "m.ckpt"), "--image",
+                          str(tmp_path / "c.pgm"), "--class", "0", "--out", str(cam),
+                          "--alpha", value])
+    assert status == 1
+    assert "--alpha must be in [0, 1]" in capsys.readouterr().err
+    assert not cam.exists()
+
+
 def test_eval_split_applies_only_to_a_chip_tree(tmp_path, small_cfg, capsys):
     ckpt = tmp_path / "m.ckpt"
     assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
