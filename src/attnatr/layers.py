@@ -7,10 +7,10 @@ keeps one index per input and kernel shape.  Backward builds an input
 gradient only for an input that needs one: it reads the patch gradients in
 their own (N, oh, ow, C, kh, kw) layout, adds them tap by tap into a zeroed
 channels-last buffer and returns a C-contiguous NCHW copy, the layout
-downstream sums round in.  Max-pool backward takes its
-argmax in the same gather and scatters with one ``np.bincount``.  Naive-loop
-oracles pin the semantics and the bytes of the patches and both input
-gradients.  All layers are float64 and differentiable through the tape.
+downstream sums round in.  Max-pool backward takes its argmax in the same
+gather and scatters with one ``np.bincount``.  Naive-loop oracles pin the
+semantics and the bytes of the patches and both input gradients.  All
+layers are float64 and differentiable through the tape.
 
 Parameter initialization: weights uniform in +/- sqrt(1/fan_in), biases zero,
 batchnorm scale 1 / shift 0, drawn from a caller-supplied SplitMix64 stream

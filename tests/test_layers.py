@@ -167,8 +167,8 @@ def test_conv2d_input_grad_is_fresh_contiguous_nchw(w_shape, padding):
 
 @pytest.mark.parametrize("bias", [False, True])
 def test_conv2d_skips_the_gradient_of_an_input_that_needs_none(bias):
-    x_data, w = randn((2, 1, 9, 9), seed=11), Tensor(randn((4, 1, 7, 7), seed=12),
-                                                    requires_grad=True)
+    x_data = randn((2, 1, 9, 9), seed=11)
+    w = Tensor(randn((4, 1, 7, 7), seed=12), requires_grad=True)
     b = Tensor(randn((4,), seed=13), requires_grad=True) if bias else None
     frozen = conv2d(Tensor(x_data), w, b, 2, 3)
     live = conv2d(Tensor(x_data, requires_grad=True), w, b, 2, 3)
