@@ -17,8 +17,9 @@ from .backbone import INSERTION_MODES
 from .data import load_dataset, read_chip, write_image, write_synth_dir
 from .explain import gradcam_map, overlay_heatmap
 from .harness import (PerturbSpec, TrialReport, datasets_from, format_report,
-                      load_model, model_config_from, perturb_dataset, run_protocol,
-                      save_model, synth_config_from, top1_accuracy, train_variant)
+                      load_model, model_config_from, perturb_dataset, perturbed_title,
+                      run_protocol, save_model, synth_config_from, top1_accuracy,
+                      train_variant)
 from .rng import derive_seed
 
 
@@ -145,8 +146,7 @@ def _cmd_eval(args) -> int:
                 for trial in range(args.trials)]
     tag = f"{model.cfg.attention} ResNet-18" if model.cfg.attention != "none" \
         else "ResNet-18"
-    title = "Top-1 accuracy" if sigma == 0 \
-        else f"Top-1 accuracy under N(0, sigma={sigma:.6f}) input perturbation"
+    title = "Top-1 accuracy" if sigma == 0 else perturbed_title(sigma)
     report = format_report([TrialReport(tag, accs)], title=title)
     _emit(report, args.out)
     return 0

@@ -36,11 +36,8 @@ SCHEMA = {
     "train.momentum": ("0.9", float, 0, "SGD momentum"),
     "train.batch_size": ("32", int, 2, "batchnorm needs two samples"),
     "train.epochs": ("15", int, 1, "epochs per trained model"),
-    "perturb.mean": ("0", float, None, "mean of the input noise"),
-    "perturb.scale": ("0.011764705882352941", float, 0.0, "3/255, a sigma or a variance"),
-    "perturb.interpretation": ("std_dev", str, ("std_dev", "variance"), "what the scale is"),
+    "perturb.scale": ("0.011764705882352941", float, 0.0, "sigma of zero-mean noise, 3/255"),
     "protocol.trials": ("3", int, 1, "seeded trials per variant"),
-    "protocol.perturbed_models": ("reuse", str, ("reuse", "fresh"), "noisy eval's model"),
 }
 
 

@@ -105,9 +105,12 @@ def parse_mstar_phoenix(data: bytes):
         offset = int(header["PhoenixHeaderLength"])
     except ValueError as exc:
         raise PhoenixError(f"non-integer value in required header key: {exc}") from exc
-    if rows < 1 or cols < 1 or offset < 0:
-        raise PhoenixError(
-            f"invalid header geometry: rows={rows}, cols={cols}, header length={offset}")
+    if rows < 1 or cols < 1:
+        raise PhoenixError(f"invalid header geometry: rows={rows}, cols={cols}")
+    header_end = end + len(_END_MARK)
+    if offset < header_end:
+        raise PhoenixError(f"header length {offset} ends before the end of "
+                           f"[EndofPhoenixHeader] at byte {header_end}")
 
     expected = 2 * rows * cols * 4  # magnitude + phase planes, float32
     actual = len(data) - offset
@@ -207,6 +210,8 @@ def read_pgm(path) -> np.ndarray:
     pixels = np.frombuffer(raw[pos:pos + w * h], dtype=np.uint8)
     if pixels.size != w * h:
         raise ImageIoError(f"{path}: truncated PGM payload")
+    if pixels.max() > maxval:
+        raise ImageIoError(f"{path}: sample {pixels.max()} exceeds maxval {maxval}")
     return pixels.reshape(h, w).astype(np.float64) / float(maxval)
 
 

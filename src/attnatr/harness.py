@@ -1,7 +1,7 @@
 """Experiment protocols: multi-trial accuracy, noise robustness, reporting.
 
 A protocol run trains one model per (variant, trial) with trial-specific
-seeds, evaluates clean and optionally noise-perturbed top-1 accuracy, and
+seeds, evaluates each model's clean and noise-perturbed top-1 accuracy, and
 formats the results as fixed-width tables whose printed averages follow the
 printed per-test values under round-half-even at two decimals.
 """
@@ -37,26 +37,25 @@ class TrainingDivergenceError(RuntimeError):
 
 @dataclass
 class PerturbSpec:
-    mean: float = 0.0
+    """Zero-mean gaussian input noise of standard deviation ``scale``."""
+
     scale: float = 3.0 / 255.0
-    interpretation: str = "std_dev"  # std_dev | variance
     seed: int = 0
 
     def sigma(self) -> float:
         if self.scale <= 0:
             raise HarnessError(f"perturbation scale must be > 0, got {self.scale}")
-        if self.interpretation == "std_dev":
-            return self.scale
-        if self.interpretation == "variance":
-            return float(np.sqrt(self.scale))
-        raise HarnessError(
-            f"unknown interpretation {self.interpretation!r}, "
-            "expected std_dev or variance")
+        return self.scale
+
+
+def perturbed_title(sigma: float) -> str:
+    """Title of an accuracy table under noise of standard deviation ``sigma``."""
+    return f"Top-1 accuracy under N(0, sigma={sigma:.6f}) input perturbation"
 
 
 def perturb_gaussian(image: SarImage, spec: PerturbSpec, rng: SplitMix64) -> SarImage:
     """Add seeded gaussian noise per pixel and clip back into [0, 1]."""
-    noise = rng.gaussian(image.magnitude.shape, spec.mean, spec.sigma())
+    noise = rng.gaussian(image.magnitude.shape, 0.0, spec.sigma())
     return SarImage(np.clip(image.magnitude + noise, 0.0, 1.0), image.label)
 
 
@@ -110,6 +109,8 @@ def train_model(model: ResNet, dataset: Dataset, epochs: int, lr: float,
     for name, value, least in (("epochs", epochs, 1), ("batch_size", batch_size, 2)):
         if value < least:
             raise HarnessError(f"{name} must be at least {least}, got {value}")
+    if len(dataset) < 2:  # batchnorm needs at least two samples
+        raise HarnessError(f"dataset must hold at least 2 samples, got {len(dataset)}")
     params = model.named_params()
     opt = SgdOptimizer(params, lr=lr, momentum=momentum)
     shuffle_rng = SplitMix64(derive_seed(seed, "shuffle"))
@@ -227,12 +228,8 @@ def train_variant(cfg: dict, variant: str, seed: int, train_ds: Dataset,
 
 
 def perturb_spec_from(cfg: dict) -> PerturbSpec:
-    return PerturbSpec(
-        mean=cfgmod.get(cfg, "perturb.mean"),
-        scale=cfgmod.get(cfg, "perturb.scale"),
-        interpretation=cfgmod.get(cfg, "perturb.interpretation"),
-        seed=derive_seed(cfgmod.get(cfg, "seed"), "perturb"),
-    )
+    return PerturbSpec(scale=cfgmod.get(cfg, "perturb.scale"),
+                       seed=derive_seed(cfgmod.get(cfg, "seed"), "perturb"))
 
 
 # Sidecar parser per ModelConfig field, chosen by the type of its default.
@@ -288,8 +285,7 @@ class ProtocolResult:
                           cfgmod.format_config(self.resolved),
                           "== Top-1 accuracy ==",
                           format_report(self.clean),
-                          f"== Top-1 accuracy under N({self.resolved['perturb.mean']}, "
-                          f"sigma={sigma:.6f}) input perturbation ==",
+                          f"== {perturbed_title(sigma)} ==",
                           format_report(self.perturbed)])
 
 
@@ -298,9 +294,8 @@ def run_protocol(cfg: dict | None, variants, trials: int, out_dir=None) -> Proto
 
     Trial t of any variant uses seed base_seed + t for both parameter
     initialization and shuffling; the datasets are fixed across trials.
-    Perturbed rows reuse the clean-trained model of the same trial unless
-    protocol.perturbed_models is "fresh", which trains a separate model
-    from a derived seed for the noisy evaluation.
+    Each trial trains one model, which is scored on the clean test set and
+    on a copy perturbed by a stream derived from the variant and the trial.
     """
     if trials < 1:
         raise HarnessError(f"need at least one trial, got {trials}")
@@ -315,23 +310,16 @@ def run_protocol(cfg: dict | None, variants, trials: int, out_dir=None) -> Proto
     spec = perturb_spec_from(resolved)
 
     baseline = "none" if "none" in variants else None
-    fresh_perturbed = cfgmod.get(resolved, "protocol.perturbed_models") == "fresh"
     result = ProtocolResult(resolved={**resolved, "protocol.trials": str(trials)})
     for variant in variants:
         clean_accs, noisy_accs = [], []
         for trial in range(trials):
-            seed = base_seed + trial
-            context = f"variant {variant!r} trial {trial + 1}"
-            model, _ = train_variant(resolved, variant, seed, train_ds, context)
+            model, _ = train_variant(resolved, variant, base_seed + trial, train_ds,
+                                     f"variant {variant!r} trial {trial + 1}")
             clean_accs.append(top1_accuracy(model, test_ds, batch_size))
             noisy = perturb_dataset(
                 test_ds, replace(spec, seed=derive_seed(spec.seed, variant, trial)))
-            noisy_model = model
-            if fresh_perturbed:
-                noisy_model, _ = train_variant(
-                    resolved, variant, derive_seed(seed, "perturbed-model"),
-                    train_ds, f"{context} (perturbed-eval model)")
-            noisy_accs.append(top1_accuracy(noisy_model, noisy, batch_size))
+            noisy_accs.append(top1_accuracy(model, noisy, batch_size))
             result.checkpoints[(variant, trial)] = dump_tensors(model.named_state())
             if out_dir is not None:
                 out = Path(out_dir)

@@ -217,15 +217,10 @@ class Conv2d(Module):
 
 
 def conv1d_same(z: Tensor, weight: Tensor) -> Tensor:
-    """Same-length 1D cross-correlation with a (1, 1, k) kernel.
-
-    Accepts a single length-C descriptor or (N, C) rows.
-    """
+    """Same-length 1D cross-correlation of (N, C) rows with a (1, 1, k) kernel."""
     z = as_tensor(z)
-    if z.ndim == 1:
-        return conv1d_same(z.reshape(1, -1), weight).reshape(-1)
     if z.ndim != 2:
-        raise LayerError(f"conv1d expects (C,) or (N, C) input, got shape {z.shape}")
+        raise LayerError(f"conv1d expects (N, C) input, got shape {z.shape}")
     k = int(weight.shape[-1])
     if k % 2 == 0:
         raise LayerError(f"conv1d kernel size must be odd, got {k}")

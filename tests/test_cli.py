@@ -185,14 +185,16 @@ def test_train_out_checkpoint_is_the_protocol_trial(tmp_path, small_cfg, capsys)
 
 
 @pytest.mark.parametrize("mode", [["--out", "m.ckpt"], ["--variants", "none", "--trials", "1"]])
-@pytest.mark.parametrize("key, value", [("data.source", "/nonexistent"), ("train.epoch", "3")])
+@pytest.mark.parametrize("key, value", [
+    ("data.source", "/nonexistent"), ("train.epoch", "3"), ("perturb.mean", "0"),
+    ("perturb.interpretation", "variance"), ("protocol.perturbed_models", "fresh")])
 def test_train_rejects_bad_config_keys(tmp_path, small_cfg, capsys, monkeypatch,
                                        mode, key, value):
     with open(small_cfg, "a") as fh:
         fh.write(f"{key} = {value}\n")
     monkeypatch.chdir(tmp_path)
     assert run_command(["train", "--config", small_cfg, *mode]) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
 
 

@@ -17,12 +17,12 @@ def test_get_returns_typed_values():
     cfg = cfgmod.resolve({"train.epochs": "4", "perturb.scale": "0.5"})
     assert cfgmod.get(cfg, "train.epochs") == 4
     assert cfgmod.get(cfg, "perturb.scale") == 0.5
-    assert cfgmod.get(cfg, "protocol.perturbed_models") == "reuse"
+    assert cfgmod.get(cfg, "model.profile") == "desk"
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("perturb.scale", "0", "must be above 0.0, got 0.0"),
-    ("perturb.mean", "nan", "expected a finite number, got nan"),
+    ("train.lr", "nan", "expected a finite number, got nan"),
     ("protocol.trials", "2.5", "expected integer"),
     ("model.profile", "tiny", "'tiny' not in ('desk', 'full')")])
 def test_resolve_names_the_key_and_the_value(key, value, message):

@@ -57,6 +57,18 @@ def test_phoenix_non_integer_geometry():
         parse_mstar_phoenix(text.encode())
 
 
+def test_phoenix_header_length_must_cover_the_header():
+    # a length of 0 would read the header text as magnitude pixels
+    blob = write_phoenix(np.zeros((4, 4)))
+    end = blob.index(b"[EndofPhoenixHeader]") + len(b"[EndofPhoenixHeader]")
+    length = int(parse_mstar_phoenix(blob)[1]["PhoenixHeaderLength"])
+    for bad in (0, end - 1):
+        text = f"PhoenixHeaderLength= {bad:>10d}".encode()
+        mutated = blob.replace(f"PhoenixHeaderLength= {length:>10d}".encode(), text)
+        with pytest.raises(PhoenixError, match=f"header length {bad} ends before"):
+            parse_mstar_phoenix(mutated)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_phoenix_non_finite_magnitude(value):
     # one such pixel would turn the whole normalized chip into NaN
@@ -146,6 +158,15 @@ def test_read_pgm_rejects_truncation(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(ImageIoError, match="truncated"):
         read_pgm(path)
+
+
+def test_read_pgm_rejects_a_sample_above_maxval(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5 2 2 100\n\x00\x64\xc8\x10")
+    with pytest.raises(ImageIoError, match=f"{path}: sample 200 exceeds maxval 100"):
+        read_pgm(path)
+    path.write_bytes(b"P5 2 2 100\n\x00\x64\x32\x10")
+    assert read_pgm(path).max() == 1.0
 
 
 def test_read_pgm_rejects_bad_geometry(tmp_path):

@@ -13,7 +13,7 @@ from attnatr.harness import (HarnessError, PerturbSpec, TrialReport,
                              perturb_spec_from, run_protocol, save_model,
                              synth_config_from, top1_accuracy, train_model,
                              train_settings_from)
-from attnatr.checkpoint import dump_tensors
+from attnatr.checkpoint import dump_tensors, parse_tensors
 from attnatr.layers import SgdOptimizer, softmax_cross_entropy
 from attnatr.rng import SplitMix64, derive_seed
 from attnatr.tensor import Tensor
@@ -46,11 +46,6 @@ def test_perturb_clamps_to_unit_interval():
     img = SarImage(np.ones((32, 32)), 0)
     out = perturb_gaussian(img, PerturbSpec(scale=0.5), SplitMix64(4))
     assert out.magnitude.max() <= 1.0 and out.magnitude.min() >= 0.0
-
-
-def test_perturb_variance_interpretation():
-    spec = PerturbSpec(scale=0.0004, interpretation="variance")
-    assert abs(spec.sigma() - 0.02) < 1e-15
 
 
 def test_perturb_scale_must_be_positive():
@@ -281,8 +276,10 @@ def test_protocol_report_embeds_config():
     result = run_protocol(fast_cfg(), ["none"], trials=1)
     text = result.render()
     assert "train.lr = 0.05" in text
-    assert "perturb.interpretation = std_dev" in text
+    assert "perturb.scale = 0.011764705882352941" in text
     assert "Top-1 accuracy" in text
+    for key in ("perturb.mean", "perturb.interpretation", "protocol.perturbed_models"):
+        assert key not in text
 
 
 def test_protocol_perturbed_table_present():
@@ -296,30 +293,28 @@ def test_protocol_needs_a_trial():
 
 
 def test_protocol_rejects_unknown_perturbed_models():
-    with pytest.raises(cfgmod.ConfigFileError, match="protocol.perturbed_models"):
-        run_protocol(fast_cfg(**{"protocol.perturbed_models": "frsh"}), ["none"], trials=1)
+    with pytest.raises(cfgmod.ConfigFileError,
+                       match="unknown config key 'protocol.perturbed_models'"):
+        run_protocol(fast_cfg(**{"protocol.perturbed_models": "fresh"}), ["none"], trials=1)
 
 
-def test_protocol_fresh_perturbed_models_train_from_the_derived_seed():
-    reuse = run_protocol(fast_cfg(), ["eca"], trials=2)
-    fresh = run_protocol(fast_cfg(**{"protocol.perturbed_models": "fresh"}), ["eca"], trials=2)
-    assert fresh.checkpoints == reuse.checkpoints
-    assert [r.trials for r in fresh.clean] == [r.trials for r in reuse.clean]
-
-    cfg = cfgmod.resolve(fast_cfg())
-    settings = train_settings_from(cfg)
-    synth = synth_config_from(cfg)
-    train, test = synth_dataset(synth, "train"), synth_dataset(synth, "test")
+def test_protocol_perturbed_rows_score_each_trials_own_model():
+    # noise this large moves accuracy, so a row scored on another model shows
+    cfg = cfgmod.resolve(fast_cfg(**{"perturb.scale": "0.3"}))
+    result = run_protocol(cfg, ["none", "eca"], trials=2)
+    test = synth_dataset(synth_config_from(cfg), "test")
     spec = perturb_spec_from(cfg)
-    expected = []
-    for trial in range(2):
-        seed = derive_seed(7 + trial, "perturbed-model")
-        model = build_resnet18(model_config_from({**cfg, "model.attention": "eca"}), seed=seed)
-        train_model(model, train, *settings, seed)
-        noisy = perturb_dataset(test, PerturbSpec(scale=spec.scale,
-                                                  seed=derive_seed(spec.seed, "eca", trial)))
-        expected.append(top1_accuracy(model, noisy, settings[3]))
-    assert fresh.perturbed[0].trials == expected
+    batch_size = train_settings_from(cfg)[3]
+    for row in result.perturbed:
+        expected = []
+        for trial in range(2):
+            model = build_resnet18(model_config_from({**cfg, "model.attention": row.tag}),
+                                   seed=7 + trial, init=False)
+            model.load_state(parse_tensors(result.checkpoints[(row.tag, trial)]))
+            noisy = perturb_dataset(test, PerturbSpec(
+                spec.scale, derive_seed(spec.seed, row.tag, trial)))
+            expected.append(top1_accuracy(model, noisy, batch_size))
+        assert row.trials == expected
 
 
 @pytest.mark.parametrize("epochs, batch_size, message", [
@@ -332,6 +327,14 @@ def test_train_model_checks_its_arguments(epochs, batch_size, message):
     with pytest.raises(HarnessError, match=message):
         train_model(model, gray_dataset([0, 1, 2, 0], size=32), epochs, 0.01, 0.0,
                     batch_size, seed=4)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_train_model_rejects_a_dataset_of_fewer_than_2_samples(samples):
+    model = build_resnet18(desk_config(), seed=3)
+    dataset = Dataset(gray_dataset([0], size=32).images[:samples], ["0"], "train")
+    with pytest.raises(HarnessError, match=f"dataset must hold at least 2 samples, got {samples}"):
+        train_model(model, dataset, 1, 0.01, 0.0, 4, seed=4)
 
 
 def test_train_model_skips_degenerate_tail_batch():
@@ -451,7 +454,7 @@ def test_config_typed_getters():
     with pytest.raises(cfgmod.ConfigFileError):
         cfgmod.get_int(cfg, "b")
     with pytest.raises(cfgmod.ConfigFileError):
-        cfgmod.resolve({"perturb.interpretation": "y"})
+        cfgmod.resolve({"model.profile": "y"})
 
 
 def test_config_format_roundtrip():

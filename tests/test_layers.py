@@ -201,14 +201,6 @@ def test_conv1d_box_kernel_hand_sums():
     assert np.array_equal(out.data, [[3.0, 6.0, 9.0, 7.0]])
 
 
-def test_conv1d_accepts_single_descriptor():
-    z = Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
-    out = conv1d_same(z, Tensor(np.ones((1, 1, 3))))
-    assert np.array_equal(out.data, [3.0, 6.0, 9.0, 7.0])
-    out.sum().backward()
-    assert z.grad.shape == (4,)
-
-
 def test_conv1d_even_kernel_error():
     with pytest.raises(LayerError, match="odd"):
         conv1d_same(Tensor([[1.0, 2.0]]), Tensor(np.ones((1, 1, 2))))
