@@ -38,9 +38,7 @@ class SeBlock(Module):
     max(1, C // r).
     """
 
-    def __init__(self, channels: int, reduction: int = 16,
-                 rng: SplitMix64 | None = None):
-        rng = rng or SplitMix64(0)
+    def __init__(self, channels: int, reduction: int, rng: SplitMix64):
         hidden = max(1, channels // reduction)
         self.channels = channels
         self.fc1 = Linear(channels, hidden, bias=False, rng=rng.split("fc1"))
@@ -73,11 +71,10 @@ def eca_kernel_size(channels: int, gamma: int) -> int:
 class EcaBlock(Module):
     """Efficient channel attention: pooled descriptor, 1D conv, channel gates."""
 
-    def __init__(self, channels: int, gamma: int = 16,
-                 rng: SplitMix64 | None = None):
+    def __init__(self, channels: int, gamma: int, rng: SplitMix64):
         self.channels = channels
         self.kernel_size = eca_kernel_size(channels, gamma)
-        self.conv = Conv1d(self.kernel_size, rng=(rng or SplitMix64(0)).split("conv"))
+        self.conv = Conv1d(self.kernel_size, rng.split("conv"))
 
     def forward(self, u: Tensor) -> Tensor:
         return _gate_channels(self, u, lambda squeeze: self.conv.forward(squeeze("avg")))[1]
@@ -95,11 +92,9 @@ class CbamBlock(SeBlock):
     two-plane map, convolves it down to one plane, and gates pixels.
     """
 
-    def __init__(self, channels: int, reduction: int = 16, spatial_kernel: int = 7,
-                 rng: SplitMix64 | None = None):
+    def __init__(self, channels: int, reduction: int, spatial_kernel: int, rng: SplitMix64):
         if spatial_kernel % 2 == 0:
             raise LayerError(f"spatial kernel must be odd, got {spatial_kernel}")
-        rng = rng or SplitMix64(0)
         super().__init__(channels, reduction, rng)
         self.spatial = Conv2d(2, 1, spatial_kernel, stride=1,
                               padding=(spatial_kernel - 1) // 2, bias=False,
@@ -126,19 +121,16 @@ class CbamBlock(SeBlock):
         return super().children() + (("2", self.spatial),)
 
 
-ATTENTION_KINDS = ("none", "se", "eca", "cbam")
+# kind -> block built from a ModelConfig's hyperparameters, a width and a stream
+_BLOCKS = {
+    "se": lambda cfg, channels, rng: SeBlock(channels, cfg.reduction, rng),
+    "eca": lambda cfg, channels, rng: EcaBlock(channels, cfg.eca_gamma, rng),
+    "cbam": lambda cfg, channels, rng: CbamBlock(channels, cfg.reduction,
+                                                 cfg.spatial_kernel, rng),
+}
+ATTENTION_KINDS = ("none", *_BLOCKS)
 
 
-def make_attention(kind: str, channels: int, reduction: int = 16,
-                   eca_gamma: int = 16, spatial_kernel: int = 7,
-                   rng: SplitMix64 | None = None):
-    """Instantiate an attention block by kind; None for "none"."""
-    if kind == "none":
-        return None
-    if kind == "se":
-        return SeBlock(channels, reduction, rng=rng)
-    if kind == "eca":
-        return EcaBlock(channels, eca_gamma, rng=rng)
-    if kind == "cbam":
-        return CbamBlock(channels, reduction, spatial_kernel, rng=rng)
-    raise LayerError(f"unknown attention kind {kind!r}, expected one of {ATTENTION_KINDS}")
+def make_attention(cfg, channels: int, rng: SplitMix64):
+    """The ``cfg.attention`` block of a validated ModelConfig, or None for "none"."""
+    return None if cfg.attention == "none" else _BLOCKS[cfg.attention](cfg, channels, rng)

@@ -18,15 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .attention import ATTENTION_KINDS, make_attention
+from .config import ConfigFileError
 from .layers import BatchNorm2d, Conv2d, LayerError, Linear, Module, global_pool, pool2d
 from .rng import SplitMix64, ZeroStream
 from .tensor import Tensor, no_grad, relu
 
 INSERTION_MODES = ("in_block", "residual_wrap")
-
-
-class ConfigError(ValueError):
-    """Raised when a model configuration is invalid; names offending fields."""
 
 
 @dataclass
@@ -62,7 +59,7 @@ class ModelConfig:
         if self.spatial_kernel < 1 or self.spatial_kernel % 2 == 0:
             bad.append(f"spatial_kernel={self.spatial_kernel} (need odd >= 1)")
         if bad:
-            raise ConfigError("invalid model config: " + "; ".join(bad))
+            raise ConfigFileError("invalid model config: " + "; ".join(bad))
         return self
 
 
@@ -91,9 +88,7 @@ class BasicBlock(Module):
                        rng=rng.split("down")),
                 BatchNorm2d(out_ch),
             )
-        self.att = make_attention(cfg.attention, out_ch, cfg.reduction,
-                                  cfg.eca_gamma, cfg.spatial_kernel,
-                                  rng=rng.split("att"))
+        self.att = make_attention(cfg, out_ch, rng.split("att"))
         self.insertion = cfg.insertion
 
     def forward(self, x: Tensor, mode: str) -> Tensor:

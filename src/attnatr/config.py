@@ -13,7 +13,7 @@ import math
 
 
 class ConfigFileError(ValueError):
-    pass
+    """Raised on a bad config line, key or value, or an invalid ModelConfig."""
 
 
 # key: (default, type, choices or lower bound, doc).  A number must be at
@@ -43,6 +43,7 @@ SCHEMA = {
 
 def parse_config(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,6 +54,10 @@ def parse_config(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key:
             raise ConfigFileError(f"line {lineno}: empty key in {raw!r}")
+        if key in lines:
+            raise ConfigFileError(
+                f"line {lineno}: key {key!r} repeats the one on line {lines[key]}")
+        lines[key] = lineno
         out[key] = value
     return out
 
@@ -112,10 +117,14 @@ def get_str(cfg, key) -> str:
         raise ConfigFileError(f"missing config key {key!r}") from exc
 
 
+# the parser of a value, by the type of its default
+GETTERS = {int: get_int, float: get_float, str: get_str, tuple: get_int_tuple}
+
+
 def get(cfg, key):
     """The typed value of a ``SCHEMA`` key, checked against its choices or bound."""
     _, kind, limit, _ = SCHEMA[key]
-    value = {int: get_int, float: get_float, str: get_str}[kind](cfg, key)
+    value = GETTERS[kind](cfg, key)
     if isinstance(limit, tuple) and value not in limit:
         raise ConfigFileError(f"config key {key!r}: {value!r} not in {limit}")
     inclusive = isinstance(limit, int)

@@ -229,9 +229,21 @@ def read_chip(path, size: int | None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthetic speckle dataset
 
-_TEMPLATE_NAMES = ("disk", "bar", "cross", "ring", "wedge")
+# name -> mask of the template in its rotated frame (u, v) at scale s, in
+# pixels at 32 px; the wedge is an isoceles triangle pointing along +u
+_TEMPLATES = {
+    "disk": lambda u, v, s: (u * u + v * v) <= (4.5 * s) ** 2,
+    "bar": lambda u, v, s: (np.abs(u) <= 8.0 * s) & (np.abs(v) <= 2.0 * s),
+    "cross": lambda u, v, s: ((np.abs(u) <= 6.5 * s) & (np.abs(v) <= 1.6 * s)) |
+                             ((np.abs(v) <= 6.5 * s) & (np.abs(u) <= 1.6 * s)),
+    "ring": lambda u, v, s: ((r2 := u * u + v * v) >= (2.5 * s) ** 2) & (r2 <= (5.0 * s) ** 2),
+    "wedge": lambda u, v, s: (u >= -3.0 * s) & (u <= 5.5 * s) & (np.abs(v) <= (5.5 * s - u) * 0.5),
+}
+_TEMPLATE_NAMES = tuple(_TEMPLATES)
 _SIZE_STEPS = (1.0, 1.25, 1.5)  # template scale of variant 0, 1, 2
 MAX_SYNTH_CLASSES = len(_TEMPLATE_NAMES) * len(_SIZE_STEPS)
+BACKGROUND, TARGET_LEVEL, SHADOW_LEVEL = 0.15, 0.9, 0.03  # clean intensities
+SHADOW_OFFSET = (5, 3)  # (dy, dx) pixels at 32 px scale
 
 
 @dataclass
@@ -242,10 +254,6 @@ class SynthConfig:
     image_size: int = 32
     speckle: bool = True
     speckle_looks: int = 1  # averaged exponentials; 1 = single-look
-    background: float = 0.15
-    target_level: float = 0.9
-    shadow_level: float = 0.03
-    shadow_offset: tuple = (5, 3)  # (dy, dx) pixels at 32 px scale
     jitter: float = 2.0
     seed: int = 0
 
@@ -273,19 +281,7 @@ def _template_mask(class_id: int, size: int, cy: float, cx: float,
     u = ca * dx + sa * dy      # rotated frame
     v = -sa * dx + ca * dy
     variant, kind = divmod(class_id, len(_TEMPLATE_NAMES))
-    s = size / 32.0 * _SIZE_STEPS[variant]  # templates parameterized at 32 px
-    if kind == 0:    # disk
-        return (u * u + v * v) <= (4.5 * s) ** 2
-    if kind == 1:    # long bar
-        return (np.abs(u) <= 8.0 * s) & (np.abs(v) <= 2.0 * s)
-    if kind == 2:    # cross
-        return ((np.abs(u) <= 6.5 * s) & (np.abs(v) <= 1.6 * s)) | \
-               ((np.abs(v) <= 6.5 * s) & (np.abs(u) <= 1.6 * s))
-    if kind == 3:    # ring
-        r2 = u * u + v * v
-        return ((2.5 * s) ** 2 <= r2) & (r2 <= (5.0 * s) ** 2)
-    # wedge: isoceles triangle pointing along +u
-    return (u >= -3.0 * s) & (u <= 5.5 * s) & (np.abs(v) <= (5.5 * s - u) * 0.5)
+    return _TEMPLATES[_TEMPLATE_NAMES[kind]](u, v, size / 32.0 * _SIZE_STEPS[variant])
 
 
 def synth_sample(cfg: SynthConfig, class_id: int, seed: int) -> SarImage:
@@ -300,13 +296,13 @@ def synth_sample(cfg: SynthConfig, class_id: int, seed: int) -> SarImage:
     angle = rng.uniform((), 0.0, 2.0 * np.pi)
 
     target = _template_mask(class_id, size, cy, cx, angle)
-    off_y, off_x = cfg.shadow_offset
+    off_y, off_x = SHADOW_OFFSET
     shadow = _template_mask(class_id, size, cy + off_y * scale, cx + off_x * scale, angle)
     shadow &= ~target  # target occludes its own shadow
 
-    img = np.full((size, size), cfg.background)
-    img[shadow] = cfg.shadow_level
-    img[target] = cfg.target_level
+    img = np.full((size, size), BACKGROUND)
+    img[shadow] = SHADOW_LEVEL
+    img[target] = TARGET_LEVEL
     if cfg.speckle:
         looks = max(1, int(cfg.speckle_looks))
         noise = rng.exponential((looks, size, size)).mean(axis=0)

@@ -39,7 +39,7 @@ class TrainingDivergenceError(RuntimeError):
 class PerturbSpec:
     """Zero-mean gaussian input noise of standard deviation ``scale``."""
 
-    scale: float = 3.0 / 255.0
+    scale: float
     seed: int = 0
 
     def sigma(self) -> float:
@@ -134,6 +134,7 @@ def train_model(model: ResNet, dataset: Dataset, epochs: int, lr: float,
             opt.zero_grad()
             loss.backward()
             opt.step()
+            del logits, loss  # else this step's tape lives through the next forward
             total += value
             batches += 1
         epoch_losses.append(total / max(1, batches))
@@ -232,10 +233,6 @@ def perturb_spec_from(cfg: dict) -> PerturbSpec:
                        seed=derive_seed(cfgmod.get(cfg, "seed"), "perturb"))
 
 
-# Sidecar parser per ModelConfig field, chosen by the type of its default.
-_SIDECAR_GETTERS = {int: cfgmod.get_int, str: cfgmod.get_str, tuple: cfgmod.get_int_tuple}
-
-
 def save_model(path, model: ResNet):
     """Write the checkpoint plus a flat-config sidecar describing the topology."""
     save_checkpoint(path, model.named_state())
@@ -249,21 +246,24 @@ def save_model(path, model: ResNet):
 
 def load_model(path) -> ResNet:
     """Rebuild a model from a checkpoint and its topology sidecar, skipping
-    the init draws: the checkpoint overwrites every value, and a NaN or
-    infinite value is an error naming the first tensor that holds one."""
+    the init draws: the checkpoint overwrites every value.  A NaN or infinite
+    value, or a negative batchnorm running variance, is an error naming the
+    first tensor that holds one."""
     sidecar_path = Path(str(path) + ".cfg")
     if not sidecar_path.is_file():
         raise HarnessError(
             f"missing topology sidecar {sidecar_path}; checkpoints are saved "
             "with a .cfg companion describing the architecture")
     side = cfgmod.parse_config(sidecar_path.read_text())
-    cfg = ModelConfig(**{f.name: _SIDECAR_GETTERS[type(f.default)](side, f"model.{f.name}")
+    cfg = ModelConfig(**{f.name: cfgmod.GETTERS[type(f.default)](side, f"model.{f.name}")
                          for f in fields(ModelConfig)})
     model = build_resnet18(cfg, seed=cfgmod.get_int(side, "model.seed"), init=False)
     state = load_checkpoint(path)
     for name, values in state.items():
         if not np.isfinite(values).all():
             raise HarnessError(f"checkpoint {path}: tensor {name!r} holds a non-finite value")
+        if name.endswith(".running_var") and (values < 0).any():
+            raise HarnessError(f"checkpoint {path}: tensor {name!r} holds a negative variance")
     model.load_state(state)
     return model
 

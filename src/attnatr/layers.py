@@ -199,9 +199,8 @@ class Conv2d(Module):
     param_names = ("weight", "bias")
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
-                 padding=0, bias=True, rng: SplitMix64 | None = None):
+                 padding=0, bias=True, *, rng: SplitMix64):
         kh, kw = _pair(kernel_size)
-        rng = rng or SplitMix64(0)
         self.stride = _pair(stride)
         self.padding = _pair(padding)
         self.weight = _uniform_init(rng, (out_channels, in_channels, kh, kw),
@@ -249,10 +248,9 @@ class Conv1d(Module):
 
     param_names = ("weight",)
 
-    def __init__(self, kernel_size: int, rng: SplitMix64 | None = None):
+    def __init__(self, kernel_size: int, rng: SplitMix64):
         if kernel_size % 2 == 0:
             raise LayerError(f"conv1d kernel size must be odd, got {kernel_size}")
-        rng = rng or SplitMix64(0)
         self.weight = _uniform_init(rng, (1, 1, kernel_size), kernel_size)
 
     def forward(self, z: Tensor) -> Tensor:
@@ -386,9 +384,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 class Linear(Module):
     param_names = ("weight", "bias")
 
-    def __init__(self, in_features, out_features, bias=True,
-                 rng: SplitMix64 | None = None):
-        rng = rng or SplitMix64(0)
+    def __init__(self, in_features, out_features, bias=True, *, rng: SplitMix64):
         self.weight = _uniform_init(rng, (out_features, in_features), in_features)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
 
@@ -509,24 +505,21 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class SgdOptimizer:
-    """SGD with classical momentum: v <- m*v + grad; p <- p - lr*v."""
+    """SGD with momentum over ``named_params()`` pairs: v <- m*v + grad; p <- p - lr*v."""
 
     def __init__(self, params, lr: float, momentum: float = 0.0):
-        params = list(params)
-        if params and isinstance(params[0], tuple):
-            params = [p for _, p in params]
-        self.params = params
+        self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.velocity = [np.zeros_like(p.data) for _, p in self.params]
 
     def step(self):
-        for i, p in enumerate(self.params):
+        for i, (name, p) in enumerate(self.params):
             if p.grad is None:
-                raise LayerError(f"parameter {i} has no gradient; run backward first")
+                raise LayerError(f"parameter {name!r} has no gradient; run backward first")
             self.velocity[i] = self.momentum * self.velocity[i] + p.grad
             p.data = p.data - self.lr * self.velocity[i]
 
     def zero_grad(self):
-        for p in self.params:
+        for _, p in self.params:
             p.grad = None

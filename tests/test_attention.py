@@ -3,6 +3,7 @@ import pytest
 
 from attnatr.attention import (CbamBlock, EcaBlock, SeBlock, eca_kernel_size,
                                make_attention)
+from attnatr.backbone import desk_config
 from attnatr.layers import LayerError
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor
@@ -66,7 +67,7 @@ def test_se_squeeze_positive_scaling_equivariance():
 
 def test_se_channel_mismatch():
     with pytest.raises(LayerError, match="channels"):
-        SeBlock(4, rng=SplitMix64(6)).forward(randt((1, 5, 3, 3)))
+        SeBlock(4, reduction=2, rng=SplitMix64(6)).forward(randt((1, 5, 3, 3)))
 
 
 def test_se_parameter_gradients():
@@ -135,7 +136,7 @@ def test_eca_matches_staged_numpy_pipeline():
 
 def test_eca_channel_mismatch():
     with pytest.raises(LayerError, match="channels"):
-        EcaBlock(8, rng=SplitMix64(17)).forward(randt((1, 4, 3, 3)))
+        EcaBlock(8, gamma=4, rng=SplitMix64(17)).forward(randt((1, 4, 3, 3)))
 
 
 def test_eca_parameter_gradients():
@@ -237,15 +238,17 @@ def test_cbam_full_parameter_gradients():
 
 def test_named_params_reach_every_sub_layer():
     # SE: two bias-free FCs; ECA: one 1D kernel; CBAM: two FCs plus the spatial conv
-    for block, count in ((SeBlock(4, reduction=2), 2), (EcaBlock(4, gamma=2), 1),
-                         (CbamBlock(4, reduction=2, spatial_kernel=3), 3)):
+    rng = SplitMix64(0)
+    for block, count in ((SeBlock(4, reduction=2, rng=rng), 2),
+                         (EcaBlock(4, gamma=2, rng=rng), 1),
+                         (CbamBlock(4, reduction=2, spatial_kernel=3, rng=rng), 3)):
         names = [name for name, _ in block.named_params()]
         assert names == [f"{i}.weight" for i in range(count)]
 
 
 def test_cbam_even_spatial_kernel_rejected():
     with pytest.raises(LayerError, match="odd"):
-        CbamBlock(4, spatial_kernel=4)
+        CbamBlock(4, reduction=2, spatial_kernel=4, rng=SplitMix64(0))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +293,15 @@ def test_gate_values_strictly_inside_unit_interval():
 
 
 def test_make_attention_factory():
-    assert make_attention("none", 8) is None
-    assert isinstance(make_attention("se", 8), SeBlock)
-    assert isinstance(make_attention("eca", 8), EcaBlock)
-    assert isinstance(make_attention("cbam", 8), CbamBlock)
-    with pytest.raises(LayerError, match="unknown attention"):
-        make_attention("vit", 8)
+    # each block takes its hyperparameters from the config; ModelConfig.validate
+    # rejects an unknown kind (test_backbone.test_invalid_config_lists_offending_fields)
+    def make(kind):
+        cfg = desk_config(kind, reduction=2, eca_gamma=4, spatial_kernel=3)
+        return make_attention(cfg, 8, SplitMix64(0))
+
+    assert make("none") is None
+    se, eca, cbam = make("se"), make("eca"), make("cbam")
+    assert type(se) is SeBlock and se.fc1.weight.shape == (4, 8)
+    assert type(eca) is EcaBlock and eca.kernel_size == 3
+    assert type(cbam) is CbamBlock and cbam.fc1.weight.shape == (4, 8)
+    assert cbam.spatial.weight.shape == (1, 2, 3, 3)

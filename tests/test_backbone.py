@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from attnatr.attention import eca_kernel_size
-from attnatr.backbone import (BasicBlock, ConfigError, ModelConfig, build_resnet18,
+from attnatr.backbone import (BasicBlock, ModelConfig, build_resnet18,
                               desk_config)
 from attnatr.checkpoint import dump_tensors
+from attnatr.config import ConfigFileError
 from attnatr.explain import gradcam_map
 from attnatr.layers import BatchNorm2d, LayerError, SgdOptimizer, softmax_cross_entropy
 from attnatr.rng import SplitMix64
@@ -84,7 +85,7 @@ def test_same_seed_same_config_bitwise_identical():
 
 def test_invalid_config_lists_offending_fields():
     cfg = ModelConfig(num_classes=1, input_size=16, attention="vit")
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ConfigFileError) as err:
         cfg.validate()
     message = str(err.value)
     assert "num_classes=1" in message

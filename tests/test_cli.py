@@ -32,6 +32,15 @@ def small_cfg(tmp_path):
     return str(path)
 
 
+def _set_line(cfg_path, line):
+    """Write ``key = value`` into a config file in place of that key's line,
+    since a repeated key is an error."""
+    key = line.partition("=")[0].strip()
+    path = Path(cfg_path)
+    kept = [old for old in path.read_text().splitlines() if old.partition("=")[0].strip() != key]
+    path.write_text("\n".join(kept + [line]) + "\n")
+
+
 def test_unknown_command_lists_commands(capsys):
     assert run_command(["frobnicate"]) == 1
     err = capsys.readouterr().err
@@ -167,8 +176,7 @@ def test_train_rejects_bad_train_settings(tmp_path, small_cfg, capsys, monkeypat
         raise AssertionError("data synthesized before the train settings were checked")
 
     monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
-    with open(small_cfg, "a") as fh:
-        fh.write(f"{key} = {value}\n")
+    _set_line(small_cfg, f"{key} = {value}")
     monkeypatch.chdir(tmp_path)
     assert run_command(["train", "--config", small_cfg, *mode]) == 2
     err = capsys.readouterr().err
@@ -246,8 +254,7 @@ def test_bad_config_values_fail_before_any_data(tmp_path, small_cfg, capsys, mon
     monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
     monkeypatch.setattr("attnatr.cli.write_synth_dir", no_data)
     if setting is not None:
-        with open(small_cfg, "a") as fh:
-            fh.write(setting + "\n")
+        _set_line(small_cfg, setting)
         argv = argv + ["--config", small_cfg]
     monkeypatch.chdir(tmp_path)
     assert run_command(argv) == 2
@@ -464,7 +471,8 @@ def test_an_empty_path_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv
 
 
 @pytest.mark.parametrize("value, name", [(np.nan, "head.bias"),
-                                         (np.inf, "stage2.0.bn1.running_var")])
+                                         (np.inf, "stage2.0.bn1.running_var"),
+                                         (-1.0, "stem.bn.running_var")])
 def test_a_non_finite_checkpoint_value_is_a_runtime_error(tmp_path, small_cfg, capsys,
                                                           value, name):
     ckpt, cam = tmp_path / "m.ckpt", tmp_path / "cam.ppm"

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from attnatr import config as cfgmod
 from attnatr.attention import ATTENTION_KINDS
-from attnatr.backbone import INSERTION_MODES, ConfigError
+from attnatr.backbone import INSERTION_MODES, ModelConfig
 from attnatr.harness import (ProtocolResult, model_config_from, perturb_spec_from,
                              synth_config_from, train_settings_from)
 
@@ -29,6 +30,20 @@ def test_resolve_names_the_key_and_the_value(key, value, message):
     expected = re.escape(f"config key '{key}': {message}")
     with pytest.raises(cfgmod.ConfigFileError, match=expected):
         cfgmod.resolve({key: value})
+
+
+def test_a_repeated_key_names_it_and_both_lines():
+    with pytest.raises(cfgmod.ConfigFileError,
+                       match=re.escape("line 3: key 'seed' repeats the one on line 1")):
+        cfgmod.parse_config("seed = 1\n# seed = 3\nseed = 2\n")
+
+
+def test_schema_model_defaults_are_the_model_config_defaults():
+    # ModelConfig holds each model default; SCHEMA spells it as text
+    defaults = {f"model.{f.name}": str(f.default) for f in fields(ModelConfig)}
+    keys = [key for key in cfgmod.SCHEMA if key.startswith("model.") and key != "model.profile"]
+    assert len(keys) == 5
+    assert {key: cfgmod.SCHEMA[key][0] for key in keys} == {key: defaults[key] for key in keys}
 
 
 def test_schema_docs_name_the_model_choices():
@@ -70,8 +85,9 @@ _values = st.one_of(
     st.sampled_from([choice for _, _, limit, _ in cfgmod.SCHEMA.values()
                      if isinstance(limit, tuple) for choice in limit]),
     st.text(max_size=12))
-_assignments = st.lists(st.tuples(_keys, _values).map(lambda kv: f"{kv[0]} = {kv[1]}"),
-                        max_size=8)
+# distinct keys: a repeated one stops parse_config (test_a_repeated_key_names_it_and_both_lines)
+_assignments = st.lists(st.tuples(_keys, _values), max_size=8, unique_by=lambda kv: kv[0]) \
+    .map(lambda kvs: [f"{key} = {value}" for key, value in kvs])
 
 
 @settings(max_examples=300, deadline=None)
@@ -84,5 +100,5 @@ def test_random_config_text_fails_only_with_config_errors(lines, junk):
         train_settings_from(cfg)
         perturb_spec_from(cfg).sigma()
         ProtocolResult(cfg).render()
-    except (cfgmod.ConfigFileError, ConfigError):
+    except cfgmod.ConfigFileError:
         pass

@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from attnatr.data import (MAX_SYNTH_CLASSES, DatasetError, ImageIoError, PhoenixError,
-                          SynthConfig, center_crop_or_pad, load_dataset, minmax_normalize,
+from attnatr.data import (BACKGROUND, MAX_SYNTH_CLASSES, SHADOW_LEVEL, TARGET_LEVEL,
+                          DatasetError, ImageIoError, PhoenixError, SynthConfig,
+                          center_crop_or_pad, load_dataset, minmax_normalize,
                           parse_mstar_phoenix, read_chip, read_pgm, synth_dataset,
                           synth_sample, write_image, write_phoenix, write_synth_dir)
 from attnatr.config import ConfigFileError
@@ -198,9 +199,9 @@ def test_synth_region_intensity_ordering():
         seed = derive_seed(11, "order", i)
         img = synth_sample(cfg, class_id, seed).magnitude
         clean = synth_sample(clean_cfg, class_id, seed).magnitude
-        shadow = clean == cfg.shadow_level
-        background = clean == cfg.background
-        target = clean == cfg.target_level
+        shadow = clean == SHADOW_LEVEL
+        background = clean == BACKGROUND
+        target = clean == TARGET_LEVEL
         assert img[shadow].mean() < img[background].mean() < img[target].mean()
 
 

@@ -1,3 +1,4 @@
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,14 +56,14 @@ def test_perturb_scale_must_be_positive():
 
 def test_perturb_deterministic_under_seed():
     img = SarImage(np.full((6, 6), 0.5), 0)
-    a = perturb_gaussian(img, PerturbSpec(), SplitMix64(9)).magnitude
-    b = perturb_gaussian(img, PerturbSpec(), SplitMix64(9)).magnitude
+    a = perturb_gaussian(img, PerturbSpec(scale=0.05), SplitMix64(9)).magnitude
+    b = perturb_gaussian(img, PerturbSpec(scale=0.05), SplitMix64(9)).magnitude
     assert np.array_equal(a, b)
 
 
 def test_perturb_dataset_streams_differ_per_image():
     ds = gray_dataset([0, 0, 0])
-    out = perturb_dataset(ds, PerturbSpec(seed=5))
+    out = perturb_dataset(ds, PerturbSpec(scale=0.05, seed=5))
     assert not np.array_equal(out.images[0].magnitude, out.images[1].magnitude)
 
 
@@ -337,6 +338,22 @@ def test_train_model_rejects_a_dataset_of_fewer_than_2_samples(samples):
         train_model(model, dataset, 1, 0.01, 0.0, 4, seed=4)
 
 
+def test_train_model_frees_each_step_before_the_next_forward(monkeypatch):
+    ds = synth_dataset(SynthConfig(per_class_train=4, num_classes=3, seed=1), "train")
+    model = build_resnet18(desk_config("cbam"), seed=3)
+    forward, steps, live = model.forward, [], []
+
+    def spy(x, mode="eval"):
+        live.append(sum(ref() is not None for ref in steps))
+        logits = forward(x, mode)
+        steps.append(weakref.ref(logits.data))  # Tensor has no weakref slot; only it holds this
+        return logits
+
+    monkeypatch.setattr(model, "forward", spy)
+    train_model(model, ds, 2, 0.01, 0.0, 4, seed=4)
+    assert live == [0] * 6  # no earlier step's logits, and so none of its tape
+
+
 def test_train_model_skips_degenerate_tail_batch():
     # 11 samples with batch 4 leaves a 3-sample tail, all usable; batch 10
     # leaves a single sample which batchnorm cannot take
@@ -349,6 +366,17 @@ def test_train_model_skips_degenerate_tail_batch():
 
 # ---------------------------------------------------------------------------
 # checkpoint round trip via save/load_model
+
+
+def test_load_model_takes_a_zero_but_not_a_negative_running_variance(tmp_path):
+    path, model = tmp_path / "m.ckpt", build_resnet18(desk_config(), seed=2)
+    model.stem_bn.running_var[:] = 0.0
+    save_model(path, model)
+    assert np.array_equal(load_model(path).stem_bn.running_var, np.zeros(4))
+    model.stem_bn.running_var[2] = -1e-300
+    save_model(path, model)
+    with pytest.raises(HarnessError, match="'stem.bn.running_var' holds a negative variance"):
+        load_model(path)
 
 
 def test_save_load_model_roundtrip(tmp_path):
