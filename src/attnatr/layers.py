@@ -7,10 +7,11 @@ keeps one index per input and kernel shape.  Backward builds an input
 gradient only for an input that needs one: it reads the patch gradients in
 their own (N, oh, ow, C, kh, kw) layout, adds them tap by tap into a zeroed
 channels-last buffer and returns a C-contiguous NCHW copy, the layout
-downstream sums round in.  Max-pool backward takes its argmax in the same
-gather and scatters with one ``np.bincount``.  Naive-loop oracles pin the
-semantics and the bytes of the patches and both input gradients.  All
-layers are float64 and differentiable through the tape.
+downstream sums round in.  Max-pool backward pads its input again, takes
+its argmax in the same gather and scatters with one ``np.bincount``.
+Naive-loop oracles pin the semantics and the bytes of the patches and both
+input gradients.  All layers are float64 and differentiable through the
+tape.
 
 Parameter initialization: weights uniform in +/- sqrt(1/fan_in), biases zero,
 batchnorm scale 1 / shift 0, drawn from a caller-supplied SplitMix64 stream
@@ -292,6 +293,7 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
         out = _window_max(win)
 
         def back(g):
+            xp = _pad(x.data, ph, pw, -np.inf)  # padded again: the node keeps no copy
             # each window's first argmax, as an offset into the flat (N*C, Hp, Wp) maps
             hp, wp = xp.shape[2:]
             arg = np.argmax(_im2col(xp.reshape(-1, 1, hp, wp), kh, kw, sh, sw, oh, ow), -1)
@@ -406,8 +408,12 @@ class BatchNorm2d(Module):
     Each forward is one ``batchnorm`` tape node over (x, gamma, beta) whose
     backward replays, op for op, the arithmetic of the same layer composed
     from primitive tensor ops, so the bytes match that primitive graph (the
-    closed-form gradient would round differently).  Forward writes in place
-    only into arrays it allocated itself, never into its input or state.
+    closed-form gradient would round differently).  Backward recomputes
+    the normalised map by the forward's expression, so the node keeps one
+    map of its own in train mode (the centred input) and none in eval mode,
+    where it keeps the running mean and scale of its forward.  Forward
+    builds its output in place in one new array, and never writes into its
+    input or state.
     """
 
     param_names = ("gamma", "beta")
@@ -443,14 +449,22 @@ class BatchNorm2d(Module):
             m = self.momentum
             self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
             self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
-            normed = centered * inv
+            out = centered * inv
         else:
+            # backward reads these arrays: a later train forward replaces the buffers
+            mu = self.running_mean.reshape(stat)
             inv = ((self.running_var + self.eps) ** -0.5).reshape(stat)
-            normed = xd - self.running_mean.reshape(stat)
-            normed *= inv
+            out = xd - mu
+            out *= inv
         count = float(xd.size // c)
 
         def back(g):
+            # the forward's expressions again, so the same bits
+            if mode == "train":
+                normed = centered * inv
+            else:
+                normed = xd - mu
+                normed *= inv
             g_normed = g * gamma
             gx = g_normed * inv
             if mode == "train":
@@ -463,7 +477,7 @@ class BatchNorm2d(Module):
             return (gx, _unbroadcast(g * normed, stat).reshape(c),
                     _unbroadcast(g, stat).reshape(c))
 
-        out = normed * gamma
+        out *= gamma
         out += self.beta.data.reshape(stat)
         return apply_op("batchnorm", out, (x, self.gamma, self.beta), back)
 
@@ -505,7 +519,12 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class SgdOptimizer:
-    """SGD with momentum over ``named_params()`` pairs: v <- m*v + grad; p <- p - lr*v."""
+    """SGD with momentum over ``named_params()`` pairs: v <- m*v + grad; p <- p - lr*v.
+
+    The momentum buffer is updated in place (``v *= m; v += grad`` rounds as
+    ``m * v + grad`` does).  Each parameter gets a new ``.data`` array, so an
+    array taken from a parameter before a step keeps its values.
+    """
 
     def __init__(self, params, lr: float, momentum: float = 0.0):
         self.params = list(params)
@@ -517,8 +536,10 @@ class SgdOptimizer:
         for i, (name, p) in enumerate(self.params):
             if p.grad is None:
                 raise LayerError(f"parameter {name!r} has no gradient; run backward first")
-            self.velocity[i] = self.momentum * self.velocity[i] + p.grad
-            p.data = p.data - self.lr * self.velocity[i]
+            v = self.velocity[i]
+            v *= self.momentum  # in place, the same bits as m * v + grad
+            v += p.grad
+            p.data = p.data - self.lr * v  # replaced, never mutated
 
     def zero_grad(self):
         for _, p in self.params:

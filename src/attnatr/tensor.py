@@ -221,18 +221,25 @@ class Tensor:
 
     # -- autodiff --------------------------------------------------------
 
-    def backward(self):
+    def backward(self, *, release: bool = False):
         """Populate ``.grad`` for every requires-grad tensor reachable from here.
 
         The loss must be a scalar produced by at least one recorded op.
         Each call adds one full gradient pass into ``.grad``: calling twice
         without zeroing doubles every gradient exactly.
+
+        With ``release=True`` the pass drops each node once its backward has
+        run, so saved activations, patch matrices and intermediate gradients
+        are freed as the pass moves toward the inputs, and the gradients are
+        the same bits.  The graph cannot be replayed afterwards: a second
+        ``backward()`` raises ``AutodiffError``.
         """
         if self.size != 1:
             raise AutodiffError(
                 f"backward requires a scalar loss, got shape {self.shape}")
         if self.node is None:
-            raise AutodiffError("backward on a tensor with no recorded operations")
+            raise AutodiffError("backward on a tensor with no recorded operations "
+                                "(or whose graph a backward(release=True) released)")
 
         topo: list[Tensor] = []
         seen = set()
@@ -251,15 +258,21 @@ class Tensor:
                     if inp.requires_grad and id(inp) not in seen:
                         stack.append((inp, False))
 
+        # Keys are ids: a tensor with a pending gradient is not yet popped
+        # from ``topo``, which keeps it alive and so its id unique.
         passes: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
             g = passes.pop(id(t), None)
             if g is None:
                 continue
             t.grad = g if t.grad is None else t.grad + g
-            if t.node is None:
+            node = t.node
+            if node is None:
                 continue
-            for inp, gin in zip(t.node.inputs, t.node.backward(g)):
+            if release:
+                t.node = None
+            for inp, gin in zip(node.inputs, node.backward(g)):
                 if gin is None or not inp.requires_grad:
                     continue
                 key = id(inp)

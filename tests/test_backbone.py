@@ -1,17 +1,18 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
-from attnatr.attention import eca_kernel_size
-from attnatr.backbone import (BasicBlock, ModelConfig, build_resnet18,
+from attnatr.attention import ATTENTION_KINDS, eca_kernel_size
+from attnatr.backbone import (INSERTION_MODES, BasicBlock, ModelConfig, build_resnet18,
                               desk_config)
 from attnatr.checkpoint import dump_tensors
 from attnatr.config import ConfigFileError
 from attnatr.explain import gradcam_map
 from attnatr.layers import BatchNorm2d, LayerError, SgdOptimizer, softmax_cross_entropy
 from attnatr.rng import SplitMix64
-from attnatr.tensor import Tensor, no_grad
+from attnatr.tensor import AutodiffError, Tensor, no_grad
 from helpers import check_gradients
 
 
@@ -211,6 +212,37 @@ def test_eval_path_bytes_are_pinned():
     with no_grad():
         bn.forward(Tensor(act), "eval")
     assert act.tobytes() == before
+
+
+def desk_step(attention, insertion):
+    """A desk train step's model and loss, and weak references to every
+    intermediate map of its tape (Tensor has no weakref slot; its array does)."""
+    model = build_resnet18(desk_config(attention, insertion=insertion), seed=5)
+    x = np.random.default_rng(41).uniform(size=(4, 1, 32, 32))
+    loss = softmax_cross_entropy(model.forward(Tensor(x), "train"), [0, 1, 2, 0])
+    refs, seen, stack = [], set(), list(loss.node.inputs)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t.node is not None:
+            seen.add(id(t))
+            refs.append(weakref.ref(t.data))
+            stack.extend(t.node.inputs)
+    return model, loss, refs
+
+
+@pytest.mark.parametrize("insertion", INSERTION_MODES)
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+def test_releasing_backward_frees_the_tape_with_the_same_grads(attention, insertion):
+    model, loss, _ = desk_step(attention, insertion)
+    loss.backward()
+    released, loss, refs = desk_step(attention, insertion)
+    assert all(ref() is not None for ref in refs)
+    loss.backward(release=True)
+    assert [ref() for ref in refs] == [None] * len(refs)
+    for (name, p), (_, q) in zip(model.named_params(), released.named_params()):
+        assert q.grad.tobytes() == p.grad.tobytes(), name
+    with pytest.raises(AutodiffError, match="released"):
+        loss.backward()
 
 
 def test_reduced_config_checkpoint_name_order():

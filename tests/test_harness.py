@@ -354,6 +354,26 @@ def test_train_model_frees_each_step_before_the_next_forward(monkeypatch):
     assert live == [0] * 6  # no earlier step's logits, and so none of its tape
 
 
+def test_train_model_releases_each_tape_before_the_step(monkeypatch):
+    ds = synth_dataset(SynthConfig(per_class_train=4, num_classes=3, seed=1), "train")
+    model = build_resnet18(desk_config("cbam"), seed=3)
+    stem, step, stems, live = model.stem_conv.forward, SgdOptimizer.step, [], []
+
+    def spy_stem(x):
+        out = stem(x)
+        stems.append(weakref.ref(out.data))  # only the tape holds this map
+        return out
+
+    def spy_step(opt):
+        live.append(stems[-1]() is not None)
+        step(opt)
+
+    monkeypatch.setattr(model.stem_conv, "forward", spy_stem)
+    monkeypatch.setattr(SgdOptimizer, "step", spy_step)
+    train_model(model, ds, 2, 0.01, 0.9, 4, seed=4)
+    assert live == [False] * 6  # backward freed the tape before the optimizer ran
+
+
 def test_train_model_skips_degenerate_tail_batch():
     # 11 samples with batch 4 leaves a 3-sample tail, all usable; batch 10
     # leaves a single sample which batchnorm cannot take

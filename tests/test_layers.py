@@ -462,6 +462,54 @@ def test_batchnorm_matches_primitive_graph_bitwise(shape):
         assert same_bits(fused, reference)
 
 
+def recomputing_node(kind):
+    """(output, leaves, batchnorm or None) of a node whose backward recomputes
+    a map of its forward."""
+    x = Tensor(randn((4, 3, 6, 6), seed=34, scale=2.0) + 0.5, requires_grad=True)
+    if kind == "maxpool":
+        return pool2d("max", x, 3, 2, 1), [x], None
+    bn = BatchNorm2d(3)
+    bn.gamma.data, bn.beta.data = randn(3, seed=35), randn(3, seed=36)
+    bn.running_mean, bn.running_var = randn(3, seed=37), randn(3, seed=38) ** 2 + 0.5
+    return bn.forward(x, kind), [x, bn.gamma, bn.beta], bn
+
+
+@pytest.mark.parametrize("kind", ["train", "eval", "maxpool"])
+def test_backward_twice_doubles_exactly_through_recomputing_nodes(kind):
+    # eval mode records a tape under Grad-CAM's suffix
+    out, leaves, bn = recomputing_node(kind)
+    loss = (out * Tensor(randn(out.shape, seed=39))).sum()
+    loss.backward()
+    first = [t.grad.copy() for t in leaves]
+    if bn is not None:  # replaces the running statistics an eval node was built from
+        bn.forward(Tensor(randn((4, 3, 6, 6), seed=40)), "train")
+    loss.backward()
+    for t, g in zip(leaves, first):
+        assert same_bits(t.grad, 2.0 * g)
+
+
+def saved_arrays(node) -> list:
+    """The numpy arrays a node's backward closure holds."""
+    values = []
+    for cell in node.backward.__closure__ or ():
+        try:
+            values.append(cell.cell_contents)
+        except ValueError:  # a name that only the other mode's branch binds
+            pass
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("kind, maps", [("train", 1), ("eval", 0), ("maxpool", 0)])
+def test_recomputing_nodes_keep_at_most_the_centred_map(kind, maps):
+    # train batchnorm keeps the centred input, not the normalised map too;
+    # max-pool keeps no padded copy
+    out, leaves, _ = recomputing_node(kind)
+    inputs = [id(t.data) for t in out.node.inputs]
+    own = [a for a in saved_arrays(out.node)
+           if a.size >= leaves[0].size and id(a) not in inputs]
+    assert len(own) == maps
+
+
 def tape_ops(loss) -> Counter:
     """Op name of every node reachable from ``loss``."""
     ops, seen, stack = Counter(), set(), [loss]
@@ -561,6 +609,27 @@ def test_sgd_momentum_update_rule():
     p.grad = np.array([1.0])
     opt.step()  # v=1.9, p=-2.9
     assert np.allclose(p.data, [-2.9])
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_sgd_momentum_buffer_in_place_matches_the_formula_bitwise(momentum):
+    # -1.0 then -0.0 gives a -0.0 buffer at momentum 0 (0 * -1 + -0.0)
+    grads = [np.array([-1.0, 0.0, 1e-300, np.nan, 3.0]),
+             np.array([-0.0, -0.0, 2.5, 1.0, np.nan]),
+             np.array([-0.0, 7.0, -0.0, 1.0, -2.0])]
+    start = np.array([0.5, -0.0, 1.0, 2.0, -3.0])
+    p = Tensor(start, requires_grad=True)
+    opt = SgdOptimizer([("p", p)], lr=0.1, momentum=momentum)
+    v, data = np.zeros_like(start), start.copy()
+    for g in grads:
+        before, kept = p.data, p.data.copy()
+        p.grad = g
+        opt.step()
+        v = momentum * v + g
+        data = data - 0.1 * v
+        assert same_bits(opt.velocity[0], v) and same_bits(p.data, data)
+        # the parameter gets a new array: one taken before the step keeps its values
+        assert p.data is not before and same_bits(before, kept)
 
 
 # ---------------------------------------------------------------------------
