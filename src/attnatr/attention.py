@@ -65,7 +65,7 @@ def eca_kernel_size(channels: int, gamma: int) -> int:
     k = math.ceil(channels / gamma)
     if k % 2 == 0:
         k += 1
-    return max(1, k)
+    return k
 
 
 class EcaBlock(Module):

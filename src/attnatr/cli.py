@@ -1,7 +1,7 @@
 """Command-line harness.
 
-Commands: train, eval, gradcam, synth-gen.  Exit status is 0 on
-success, 1 on usage errors (message on stderr), 2 on runtime errors.
+Commands: train, protocol, eval, gradcam, synth-gen.  Exit status is 0
+on success, 1 on usage errors (message on stderr), 2 on runtime errors.
 """
 
 from __future__ import annotations
@@ -41,20 +41,22 @@ def _path(text: str) -> str:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="attnatr", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     # the dest of each config override flag is the key it overrides
-    p = sub.add_parser("train", help="train one model or run the full protocol")
-    p.add_argument("--config", type=_path, help="flat key = value config file")
-    p.add_argument("--seed", type=int, help="base seed override")
-    p.add_argument("--attention", dest="model.attention", choices=ATTENTION_KINDS)
-    p.add_argument("--insertion", dest="model.insertion", choices=INSERTION_MODES)
-    p.add_argument("--epochs", dest="train.epochs", type=int)
-    p.add_argument("--variants", help="comma list of attention kinds; runs the protocol")
-    p.add_argument("--trials", dest="protocol.trials", type=int)
-    p.add_argument("--out", type=_path,
-                   help="checkpoint path (single model) or report path (protocol)")
-    p.add_argument("--ckpt-dir", type=_path, help="directory for per-trial protocol checkpoints")
+    train = sub.add_parser("train", help="train one model and save its checkpoint")
+    protocol = sub.add_parser("protocol", help="run the multi-trial protocol")
+    for p in (train, protocol):
+        p.add_argument("--config", type=_path, help="flat key = value config file")
+        p.add_argument("--seed", type=int, help="base seed override")
+        p.add_argument("--insertion", dest="model.insertion", choices=INSERTION_MODES)
+        p.add_argument("--epochs", dest="train.epochs", type=int)
+    train.add_argument("--attention", dest="model.attention", choices=ATTENTION_KINDS)
+    train.add_argument("--out", type=_path, required=True, help="checkpoint path")
+    protocol.add_argument("--variants", required=True, help="comma list of attention kinds")
+    protocol.add_argument("--trials", dest="protocol.trials", type=int)
+    protocol.add_argument("--out", type=_path, help="also write the report to this file")
+    protocol.add_argument("--ckpt-dir", type=_path, help="directory for per-trial checkpoints")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint, optionally under noise")
     p.add_argument("--seed", type=int, default=0, help="base seed of the noise trials")
@@ -98,23 +100,28 @@ def _emit(text: str, out_path=None):
         Path(out_path).write_text(text)
 
 
-def _cmd_train(args) -> int:
-    protocol = args.variants is not None
-    if protocol and getattr(args, "model.attention") is not None:
-        raise UsageError("train: --attention cannot be used with --variants")
-    stray = [flag for flag, value in (("--trials", getattr(args, "protocol.trials")),
-                                      ("--ckpt-dir", args.ckpt_dir)) if value is not None]
-    if stray and not protocol:
-        raise UsageError(f"train: {', '.join(stray)} can only be used with --variants")
+def _run_config(args) -> dict:
+    """The resolved config of a train or protocol run; an ``--out`` whose
+    parent is not a directory fails here, before any data is built."""
     resolved = _resolved_config(args, args.config and cfgmod.load_config(args.config))
-    if protocol:
-        variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        result = run_protocol(resolved, variants, cfgmod.get(resolved, "protocol.trials"),
-                              out_dir=args.ckpt_dir)
-        _emit(result.render(), args.out)
-        return 0
-    if not args.out:
-        raise UsageError("train: --out CHECKPOINT is required for a single-model run")
+    if args.out and not Path(args.out).parent.is_dir():
+        raise NotADirectoryError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
+    return resolved
+
+
+def _cmd_protocol(args) -> int:
+    resolved = _run_config(args)
+    if args.ckpt_dir and Path(args.ckpt_dir).exists() and not Path(args.ckpt_dir).is_dir():
+        raise NotADirectoryError(f"--ckpt-dir {args.ckpt_dir}: not a directory")
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    result = run_protocol(resolved, variants, cfgmod.get(resolved, "protocol.trials"),
+                          out_dir=args.ckpt_dir)
+    _emit(result.render(), args.out)
+    return 0
+
+
+def _cmd_train(args) -> int:
+    resolved = _run_config(args)
     model_config_from(resolved)  # a bad model key fails before any data is built
     train_ds, test_ds = datasets_from(resolved)
     variant = resolved["model.attention"]
@@ -174,6 +181,7 @@ def _cmd_synth_gen(args) -> int:
 
 _COMMANDS = {
     "train": _cmd_train,
+    "protocol": _cmd_protocol,
     "eval": _cmd_eval,
     "gradcam": _cmd_gradcam,
     "synth-gen": _cmd_synth_gen,
@@ -184,9 +192,6 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError(
-                "missing command; expected one of " + ", ".join(_COMMANDS))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -263,6 +263,9 @@ class SynthConfig:
                 f"config key 'data.classes': the synthetic dataset has at most "
                 f"{MAX_SYNTH_CLASSES} classes ({len(_TEMPLATE_NAMES)} shapes in "
                 f"{len(_SIZE_STEPS)} sizes), got {self.num_classes}")
+        if not isinstance(self.speckle_looks, int) or self.speckle_looks < 1:
+            raise ConfigFileError("config key 'data.speckle_looks': must be an integer of "
+                                  f"at least 1, got {self.speckle_looks!r}")
 
     def class_names(self) -> list:
         """``<id>_<template>``, the id zero-padded so that name order is id order."""
@@ -304,8 +307,7 @@ def synth_sample(cfg: SynthConfig, class_id: int, seed: int) -> SarImage:
     img[shadow] = SHADOW_LEVEL
     img[target] = TARGET_LEVEL
     if cfg.speckle:
-        looks = max(1, int(cfg.speckle_looks))
-        noise = rng.exponential((looks, size, size)).mean(axis=0)
+        noise = rng.exponential((cfg.speckle_looks, size, size)).mean(axis=0)
         img = img * noise
     return SarImage(np.clip(img, 0.0, 1.0), label=class_id)
 

@@ -137,7 +137,7 @@ def train_model(model: ResNet, dataset: Dataset, epochs: int, lr: float,
             del logits, loss  # else this step's output lives through the next forward
             total += value
             batches += 1
-        epoch_losses.append(total / max(1, batches))
+        epoch_losses.append(total / batches)
     return epoch_losses
 
 

@@ -68,7 +68,7 @@ def test_runtime_error_missing_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_synth_gen_writes_manifest_and_images(tmp_path, capsys):
+def test_synth_gen_writes_a_chip_tree(tmp_path, capsys):
     out = tmp_path / "d"
     status = run_command(["synth-gen", "--out", str(out), "--classes", "3",
                           "--per-class", "50", "--seed", "7"])
@@ -156,9 +156,9 @@ def test_eval_sidecar_missing_key_is_runtime_error(tmp_path, small_cfg, capsys):
     assert "model.stage_widths" in capsys.readouterr().err
 
 
-def test_train_protocol_mode(tmp_path, small_cfg, capsys):
+def test_protocol_writes_its_report(tmp_path, small_cfg, capsys):
     report = tmp_path / "protocol.txt"
-    status = run_command(["train", "--config", small_cfg, "--variants", "none,eca",
+    status = run_command(["protocol", "--config", small_cfg, "--variants", "none,eca",
                           "--trials", "1", "--out", str(report)])
     assert status == 0
     text = report.read_text()
@@ -167,7 +167,8 @@ def test_train_protocol_mode(tmp_path, small_cfg, capsys):
     assert "none" in text and "eca" in text
 
 
-@pytest.mark.parametrize("mode", [["--out", "m.ckpt"], ["--variants", "none", "--trials", "1"]])
+@pytest.mark.parametrize("mode", [["train", "--out", "m.ckpt"],
+                                  ["protocol", "--variants", "none", "--trials", "1"]])
 @pytest.mark.parametrize("key, value", [("train.batch_size", 0), ("train.batch_size", 1),
                                         ("train.epochs", 0), ("train.epochs", -1)])
 def test_train_rejects_bad_train_settings(tmp_path, small_cfg, capsys, monkeypatch,
@@ -178,7 +179,7 @@ def test_train_rejects_bad_train_settings(tmp_path, small_cfg, capsys, monkeypat
     monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
     _set_line(small_cfg, f"{key} = {value}")
     monkeypatch.chdir(tmp_path)
-    assert run_command(["train", "--config", small_cfg, *mode]) == 2
+    assert run_command([*mode, "--config", small_cfg]) == 2
     err = capsys.readouterr().err
     assert f"config key '{key}': must be at least" in err and f"got {value}" in err
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
@@ -192,7 +193,8 @@ def test_train_out_checkpoint_is_the_protocol_trial(tmp_path, small_cfg, capsys)
     assert ckpt.read_bytes() == result.checkpoints[("se", 0)]
 
 
-@pytest.mark.parametrize("mode", [["--out", "m.ckpt"], ["--variants", "none", "--trials", "1"]])
+@pytest.mark.parametrize("mode", [["train", "--out", "m.ckpt"],
+                                  ["protocol", "--variants", "none", "--trials", "1"]])
 @pytest.mark.parametrize("key, value", [
     ("data.source", "/nonexistent"), ("train.epoch", "3"), ("perturb.mean", "0"),
     ("perturb.interpretation", "variance"), ("protocol.perturbed_models", "fresh")])
@@ -201,7 +203,7 @@ def test_train_rejects_bad_config_keys(tmp_path, small_cfg, capsys, monkeypatch,
     with open(small_cfg, "a") as fh:
         fh.write(f"{key} = {value}\n")
     monkeypatch.chdir(tmp_path)
-    assert run_command(["train", "--config", small_cfg, *mode]) == 2
+    assert run_command([*mode, "--config", small_cfg]) == 2
     assert f"unknown config key '{key}'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
 
@@ -234,13 +236,13 @@ def test_gradcam_bad_class_is_runtime_error(tmp_path, small_cfg, capsys):
 
 @pytest.mark.parametrize("argv, setting, key", [
     (["train", "--out", "m.ckpt"], "data.per_class_train = 0", "data.per_class_train"),
-    (["train", "--variants", "none"], "data.per_class_train = 0", "data.per_class_train"),
-    (["train", "--variants", "none"], "data.per_class_test = 0", "data.per_class_test"),
+    (["protocol", "--variants", "none"], "data.per_class_train = 0", "data.per_class_train"),
+    (["protocol", "--variants", "none"], "data.per_class_test = 0", "data.per_class_test"),
     (["train", "--out", "m.ckpt"], "data.speckle_looks = 0", "data.speckle_looks"),
-    (["train", "--variants", "none"], "data.speckle_looks = -5", "data.speckle_looks"),
-    (["train", "--variants", "none"], "perturb.scale = 0", "perturb.scale"),
-    (["train", "--variants", "none"], "perturb.scale = -1", "perturb.scale"),
-    (["train", "--variants", "none"], "perturb.mean = nan", "perturb.mean"),
+    (["protocol", "--variants", "none"], "data.speckle_looks = -5", "data.speckle_looks"),
+    (["protocol", "--variants", "none"], "perturb.scale = 0", "perturb.scale"),
+    (["protocol", "--variants", "none"], "perturb.scale = -1", "perturb.scale"),
+    (["protocol", "--variants", "none"], "perturb.mean = nan", "perturb.mean"),
     (["train", "--out", "m.ckpt"], "train.lr = inf", "train.lr"),
     (["synth-gen", "--out", "d", "--classes", "0"], None, "data.classes"),
     (["synth-gen", "--out", "d", "--per-class", "-1"], None, "data.per_class_train"),
@@ -272,7 +274,7 @@ def test_train_checks_variants_before_any_data(tmp_path, small_cfg, capsys, monk
         raise AssertionError("data synthesized before the variants were checked")
 
     monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
-    assert run_command(["train", "--config", small_cfg, "--variants", variants,
+    assert run_command(["protocol", "--config", small_cfg, "--variants", variants,
                         "--ckpt-dir", str(tmp_path / "ck")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "ck").exists()
@@ -346,31 +348,64 @@ def test_synth_gen_refuses_an_existing_split(tmp_path, capsys):
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command of README's CLI block, in order; train and protocol get a
+    tiny config so that the block stays fast."""
     text = README.read_text()
     block = text.split("## CLI", 1)[1].split("```\n", 2)[1]
-    commands = {line.split()[1]: shlex.split(line)[1:] for line in block.splitlines()
-                if line.startswith("attnatr ")}
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("attnatr ")]
+    assert [argv[0] for argv in commands] == ["synth-gen", "train", "protocol", "eval", "gradcam"]
+    (tmp_path / "tiny.cfg").write_text("data.per_class_train = 4\ndata.per_class_test = 2\n"
+                                       "train.epochs = 1\n")
     monkeypatch.chdir(tmp_path)
-    assert run_command(commands["synth-gen"]) == 0
-    gradcam = commands["gradcam"]
-    assert Path(gradcam[gradcam.index("--image") + 1]).is_file()
+    for argv in commands:
+        tiny = ["--config", "tiny.cfg"] if argv[0] in ("train", "protocol") else []
+        assert run_command(argv + tiny) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--variants", "none,se", "--attention", "cbam"],
-     "train: --attention cannot be used with --variants"),
-    (["--out", "m.ckpt", "--trials", "5"], "train: --trials can only be used with --variants"),
-    (["--out", "m.ckpt", "--trials", "5", "--ckpt-dir", "cks"],
-     "train: --trials, --ckpt-dir can only be used with --variants")])
-def test_train_rejects_flags_its_mode_ignores(tmp_path, small_cfg, capsys, monkeypatch,
-                                             argv, message):
+    (["train", "--out", "m.ckpt", "--variants", "none"], "unrecognized arguments: --variants"),
+    (["train", "--out", "m.ckpt", "--trials", "5"], "unrecognized arguments: --trials"),
+    (["train", "--out", "m.ckpt", "--ckpt-dir", "cks"], "unrecognized arguments: --ckpt-dir"),
+    (["protocol", "--variants", "none,se", "--attention", "cbam"],
+     "unrecognized arguments: --attention"),
+    (["protocol", "--trials", "1"], "protocol: the following arguments are required: --variants"),
+    (["train", "--attention", "se"], "train: the following arguments are required: --out")],
+    ids=["train-variants", "train-trials", "train-ckpt-dir", "protocol-attention",
+         "protocol-without-variants", "train-without-out"])
+def test_a_flag_the_command_does_not_take_is_a_usage_error(tmp_path, small_cfg, capsys,
+                                                           monkeypatch, argv, message):
     def no_data(*args):
         raise AssertionError("data synthesized before the flags were checked")
 
     monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
     monkeypatch.chdir(tmp_path)
-    assert run_command(["train", "--config", small_cfg, *argv]) == 1
+    assert run_command([*argv, "--config", small_cfg]) == 1
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
+
+
+@pytest.mark.parametrize("argv, flag, path, problem", [
+    (["train", "--out", "nodir/m.ckpt"], "--out", "nodir/m.ckpt", "nodir is not a directory"),
+    (["train", "--out", "desk.cfg/m.ckpt"], "--out", "desk.cfg/m.ckpt",
+     "desk.cfg is not a directory"),
+    (["protocol", "--variants", "none", "--out", "nodir/r.txt"], "--out", "nodir/r.txt",
+     "nodir is not a directory"),
+    (["protocol", "--variants", "none", "--ckpt-dir", "desk.cfg"], "--ckpt-dir", "desk.cfg",
+     "not a directory")],
+    ids=["train-missing-parent", "train-file-parent", "protocol-missing-parent",
+         "protocol-file-ckpt-dir"])
+def test_an_unwritable_output_path_fails_before_any_data(tmp_path, small_cfg, capsys,
+                                                         monkeypatch, argv, flag, path, problem):
+    def no_data(*args):
+        raise AssertionError("data synthesized before the output paths were checked")
+
+    monkeypatch.setattr("attnatr.harness.synth_dataset", no_data)
+    monkeypatch.chdir(tmp_path)
+    assert run_command([*argv, "--config", small_cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} {path}: {problem}" in captured.err
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
 
 
@@ -401,7 +436,7 @@ def test_eval_runs_one_pass_per_distinct_trial(tmp_path, small_cfg, capsys, monk
 
 @pytest.mark.parametrize("argv", [["synth-gen", "--out", "d", "--classes", "16"],
                                   ["train", "--out", "m.ckpt", "--config", "desk.cfg"],
-                                  ["train", "--variants", "none", "--config", "desk.cfg"]])
+                                  ["protocol", "--variants", "none", "--config", "desk.cfg"]])
 def test_too_many_synthetic_classes_fail_before_any_chip(tmp_path, small_cfg, capsys,
                                                          monkeypatch, argv):
     def no_chips(*args):
@@ -451,9 +486,9 @@ def test_an_impossible_allocation_is_a_runtime_error(tmp_path, small_cfg, capsys
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--variants", "none", "--trials", "1", "--config", ""],
-    ["train", "--variants", "none", "--trials", "1", "--ckpt-dir", ""],
-    ["train", "--variants", "none", "--trials", "1", "--out", ""],
+    ["protocol", "--variants", "none", "--trials", "1", "--config", ""],
+    ["protocol", "--variants", "none", "--trials", "1", "--ckpt-dir", ""],
+    ["protocol", "--variants", "none", "--trials", "1", "--out", ""],
     ["train", "--out", ""],
     ["eval", "--model", "", "--data", "d"],
     ["eval", "--model", "m.ckpt", "--data", ""],
@@ -495,7 +530,8 @@ def test_a_non_finite_checkpoint_value_is_a_runtime_error(tmp_path, small_cfg, c
 
 def test_an_empty_variants_list_is_an_error(tmp_path, small_cfg, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert run_command(["train", "--config", small_cfg, "--variants", "", "--out", "m.ckpt"]) == 2
+    assert run_command(["protocol", "--config", small_cfg, "--variants", "",
+                        "--out", "m.ckpt"]) == 2
     assert "distinct variants, got []" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
 
@@ -564,13 +600,13 @@ def _fuzz_flags(root):
                    root / "desk.cfg")
     kinds = one_of("none", "se", "eca", "cbam")
     floats = st.floats(allow_nan=True, allow_infinity=True).map(str)
+    run = {"--config": one_of(root / "desk.cfg", root / "missing.cfg", root / "m.ckpt"),
+           "--seed": ints(-3, 9), "--insertion": one_of("in_block", "residual_wrap"),
+           "--epochs": ints(-1, 2), "--out": outs}
     return {
-        "train": {"--config": one_of(root / "desk.cfg", root / "missing.cfg", root / "m.ckpt"),
-                  "--seed": ints(-3, 9), "--attention": kinds,
-                  "--insertion": one_of("in_block", "residual_wrap"),
-                  "--epochs": ints(-1, 2), "--trials": ints(-1, 2), "--out": outs,
-                  "--variants": st.lists(kinds, max_size=4).map(",".join),
-                  "--ckpt-dir": outs},
+        "train": {**run, "--attention": kinds},
+        "protocol": {**run, "--variants": st.lists(kinds, max_size=4).map(",".join),
+                     "--trials": ints(-1, 2), "--ckpt-dir": outs},
         "eval": {"--seed": ints(-3, 9), "--model": model, "--split": one_of("test", "train"),
                  "--data": one_of(root / "data", root, root / "chip.pgm"),
                  "--perturb-std": st.one_of(floats, st.sampled_from(["0", "0.05"])),
@@ -592,9 +628,11 @@ def test_random_argv_exits_with_a_status(fuzz_root, data):
     flags = _fuzz_flags(fuzz_root)
     command = data.draw(st.sampled_from(sorted(flags) + ["frob"]))
     # valid required flags first, so that most runs get past argparse; a train
-    # run without this config would be the 15-epoch default
+    # or protocol run without this config would be the 15-epoch default
     model, chip = str(fuzz_root / "m.ckpt"), str(fuzz_root / "chip.pgm")
-    argv = [command] + {"train": ["--config", str(fuzz_root / "desk.cfg")],
+    cfg = ["--config", str(fuzz_root / "desk.cfg")]
+    argv = [command] + {"train": cfg + ["--out", str(fuzz_root / "out" / "b.ckpt")],
+                        "protocol": cfg + ["--variants", "none"],
                         "eval": ["--model", model, "--data", str(fuzz_root / "data")],
                         "gradcam": ["--model", model, "--image", chip, "--class", "0",
                                     "--out", str(fuzz_root / "out" / "c.ppm")],

@@ -299,6 +299,15 @@ def test_synth_class_count_above_the_maximum_is_an_error():
         SynthConfig(num_classes=MAX_SYNTH_CLASSES + 1)
 
 
+def test_synth_speckle_looks_must_be_an_integer_of_at_least_one():
+    for looks in (0, -2, 2.5, 2.0, "2", None):
+        with pytest.raises(ConfigFileError, match=f"'data.speckle_looks': must be an integer "
+                           f"of at least 1, got {looks!r}"):
+            SynthConfig(speckle_looks=looks)
+    two = synth_sample(SynthConfig(speckle_looks=2), 0, seed=4).magnitude
+    assert not np.array_equal(two, synth_sample(SynthConfig(), 0, seed=4).magnitude)
+
+
 # ---------------------------------------------------------------------------
 # directory loading
 
