@@ -101,18 +101,22 @@ def _emit(text: str, out_path=None):
 
 
 def _run_config(args) -> dict:
-    """The resolved config of a train or protocol run; an ``--out`` whose
-    parent is not a directory fails here, before any data is built."""
+    """The resolved config of a train or protocol run; an ``--out`` that is a
+    directory or whose parent is not one fails here, before any data is built."""
     resolved = _resolved_config(args, args.config and cfgmod.load_config(args.config))
     if args.out and not Path(args.out).parent.is_dir():
         raise NotADirectoryError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
+    if args.out and Path(args.out).is_dir():
+        raise IsADirectoryError(f"--out {args.out}: is a directory")
     return resolved
 
 
 def _cmd_protocol(args) -> int:
     resolved = _run_config(args)
-    if args.ckpt_dir and Path(args.ckpt_dir).exists() and not Path(args.ckpt_dir).is_dir():
-        raise NotADirectoryError(f"--ckpt-dir {args.ckpt_dir}: not a directory")
+    if args.ckpt_dir:  # its nearest existing ancestor, itself included, must be a directory
+        base = next(p for p in (Path(args.ckpt_dir), *Path(args.ckpt_dir).parents) if p.exists())
+        if not base.is_dir():
+            raise NotADirectoryError(f"--ckpt-dir {args.ckpt_dir}: not a directory (at {base})")
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     result = run_protocol(resolved, variants, cfgmod.get(resolved, "protocol.trials"),
                           out_dir=args.ckpt_dir)

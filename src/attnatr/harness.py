@@ -132,7 +132,7 @@ def train_model(model: ResNet, dataset: Dataset, epochs: int, lr: float,
                     f"{context}: loss became non-finite ({value}) "
                     f"at epoch {epoch + 1}")
             opt.zero_grad()
-            loss.backward(release=True)  # frees the tape before the step
+            loss.backward()  # frees the tape before the step
             opt.step()
             del logits, loss  # else this step's output lives through the next forward
             total += value

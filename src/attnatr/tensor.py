@@ -3,17 +3,17 @@
 A Tensor wraps a contiguous row-major numpy array.  Operations on tensors
 that require gradients record a TapeNode (op name, input tensors, backward
 rule); calling ``backward()`` on a scalar result replays the recorded graph
-in reverse topological order.
+in reverse topological order and consumes it, so it is replayed only once.
 
 Gradient semantics: each backward pass computes the full gradient of the
 loss in a per-pass buffer and then adds it into ``.grad``, so gradients
 accumulate additively across passes and across fan-out within a pass.
 Callers zero grads explicitly between optimizer steps.
 
-Tensors are not mutated by operations once produced.  Grad mode is a
-``contextvars.ContextVar``: ``no_grad`` switches tape recording off in its
-own thread (or asyncio task) only.  Storage is always at least rank 1, so
-full reductions and losses have shape (1,).
+Operations never change a tensor once produced; ``backward`` sets ``.grad``
+and consumes nodes.  Grad mode is a ``contextvars.ContextVar``: ``no_grad``
+switches tape recording off in its own thread (or asyncio task) only.
+Storage is always at least rank 1, so full reductions and losses have shape (1,).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class ShapeError(ValueError):
 
 
 class AutodiffError(RuntimeError):
-    """Raised on invalid backward calls (non-scalar loss, empty tape)."""
+    """Raised on invalid backward calls (non-scalar loss, empty or consumed tape)."""
 
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
@@ -78,6 +78,9 @@ class TapeNode:
         self.op = op
         self.inputs = inputs
         self.backward = backward
+
+
+_CONSUMED = TapeNode("consumed", (), None)  # what backward leaves in place of a node
 
 
 class Tensor:
@@ -221,25 +224,21 @@ class Tensor:
 
     # -- autodiff --------------------------------------------------------
 
-    def backward(self, *, release: bool = False):
+    def backward(self):
         """Populate ``.grad`` for every requires-grad tensor reachable from here.
 
-        The loss must be a scalar produced by at least one recorded op.
-        Each call adds one full gradient pass into ``.grad``: calling twice
-        without zeroing doubles every gradient exactly.
-
-        With ``release=True`` the pass drops each node once its backward has
-        run, so saved activations, patch matrices and intermediate gradients
-        are freed as the pass moves toward the inputs, and the gradients are
-        the same bits.  The graph cannot be replayed afterwards: a second
-        ``backward()`` raises ``AutodiffError``.
+        The loss must be a scalar produced by at least one recorded op.  The
+        pass drops each node once its backward has run, freeing saved arrays
+        and intermediate gradients as it moves toward the inputs.  A later
+        pass that reaches a consumed node (the same loss again, or another
+        loss on a shared intermediate) raises ``AutodiffError`` before any
+        ``.grad`` changes.
         """
         if self.size != 1:
             raise AutodiffError(
                 f"backward requires a scalar loss, got shape {self.shape}")
         if self.node is None:
-            raise AutodiffError("backward on a tensor with no recorded operations "
-                                "(or whose graph a backward(release=True) released)")
+            raise AutodiffError("backward on a tensor with no recorded operations")
 
         topo: list[Tensor] = []
         seen = set()
@@ -251,6 +250,8 @@ class Tensor:
                 continue
             if id(t) in seen:
                 continue
+            if t.node is _CONSUMED:
+                raise AutodiffError("backward through a graph an earlier backward() consumed")
             seen.add(id(t))
             stack.append((t, True))
             if t.node is not None:
@@ -270,8 +271,7 @@ class Tensor:
             node = t.node
             if node is None:
                 continue
-            if release:
-                t.node = None
+            t.node = _CONSUMED
             for inp, gin in zip(node.inputs, node.backward(g)):
                 if gin is None or not inp.requires_grad:
                     continue

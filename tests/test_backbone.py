@@ -215,11 +215,11 @@ def test_eval_path_bytes_are_pinned():
 
 
 def desk_step(attention, insertion):
-    """A desk train step's model and loss, and weak references to every
+    """The pinned desk train step's model and loss, and weak references to every
     intermediate map of its tape (Tensor has no weakref slot; its array does)."""
     model = build_resnet18(desk_config(attention, insertion=insertion), seed=5)
-    x = np.random.default_rng(41).uniform(size=(4, 1, 32, 32))
-    loss = softmax_cross_entropy(model.forward(Tensor(x), "train"), [0, 1, 2, 0])
+    x = np.random.default_rng(40).uniform(size=(8, 1, 32, 32))
+    loss = softmax_cross_entropy(model.forward(Tensor(x), "train"), [0, 1, 2, 0, 1, 2, 0, 1])
     refs, seen, stack = [], set(), list(loss.node.inputs)
     while stack:
         t = stack.pop()
@@ -233,15 +233,14 @@ def desk_step(attention, insertion):
 @pytest.mark.parametrize("insertion", INSERTION_MODES)
 @pytest.mark.parametrize("attention", ATTENTION_KINDS)
 def test_releasing_backward_frees_the_tape_with_the_same_grads(attention, insertion):
-    model, loss, _ = desk_step(attention, insertion)
-    loss.backward()
-    released, loss, refs = desk_step(attention, insertion)
+    # the pinned digests were recorded with a backward that kept the graph
+    model, loss, refs = desk_step(attention, insertion)
     assert all(ref() is not None for ref in refs)
-    loss.backward(release=True)
+    loss.backward()
     assert [ref() for ref in refs] == [None] * len(refs)
-    for (name, p), (_, q) in zip(model.named_params(), released.named_params()):
-        assert q.grad.tobytes() == p.grad.tobytes(), name
-    with pytest.raises(AutodiffError, match="released"):
+    grads = sha256(*(p.grad for _, p in model.named_params()))
+    assert grads == PINNED_EVAL["grads", attention, insertion]
+    with pytest.raises(AutodiffError, match="consumed"):
         loss.backward()
 
 

@@ -392,9 +392,14 @@ def test_a_flag_the_command_does_not_take_is_a_usage_error(tmp_path, small_cfg, 
     (["protocol", "--variants", "none", "--out", "nodir/r.txt"], "--out", "nodir/r.txt",
      "nodir is not a directory"),
     (["protocol", "--variants", "none", "--ckpt-dir", "desk.cfg"], "--ckpt-dir", "desk.cfg",
-     "not a directory")],
+     "not a directory"),
+    (["train", "--out", "."], "--out", ".", "is a directory"),
+    (["protocol", "--variants", "none", "--out", "."], "--out", ".", "is a directory"),
+    (["protocol", "--variants", "none", "--ckpt-dir", "desk.cfg/sub"], "--ckpt-dir",
+     "desk.cfg/sub", "not a directory (at desk.cfg)")],
     ids=["train-missing-parent", "train-file-parent", "protocol-missing-parent",
-         "protocol-file-ckpt-dir"])
+         "protocol-file-ckpt-dir", "train-dir-out", "protocol-dir-out",
+         "protocol-file-ckpt-ancestor"])
 def test_an_unwritable_output_path_fails_before_any_data(tmp_path, small_cfg, capsys,
                                                          monkeypatch, argv, flag, path, problem):
     def no_data(*args):

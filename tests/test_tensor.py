@@ -204,15 +204,29 @@ def test_backward_requires_tape():
         Tensor([1.0], requires_grad=True).backward()
 
 
-def test_backward_twice_doubles_exactly():
+def test_backward_twice_raises_and_keeps_the_first_grads():
     x = randt((3, 3), seed=15, requires_grad=True)
     y = randt((3, 3), seed=16, requires_grad=True)
     loss = ((x * y).sum() * (x.sum())) + (x * x).sum()
     loss.backward()
     gx, gy = x.grad.copy(), y.grad.copy()
-    loss.backward()
-    assert np.array_equal(x.grad, 2.0 * gx)
-    assert np.array_equal(y.grad, 2.0 * gy)
+    with pytest.raises(AutodiffError, match="earlier backward\\(\\) consumed"):
+        loss.backward()
+    assert np.array_equal(x.grad, gx)
+    assert np.array_equal(y.grad, gy)
+
+
+def test_a_loss_on_a_consumed_intermediate_raises_before_any_grad_changes():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, 4.0], requires_grad=True)
+    h = x * x
+    (3.0 * h).sum().backward()
+    assert np.array_equal(x.grad, [6.0, 12.0])
+    with pytest.raises(AutodiffError, match="consumed"):
+        (w * (5.0 * h)).sum().backward()
+    assert np.array_equal(x.grad, [6.0, 12.0])
+    assert np.array_equal(h.grad, [3.0, 3.0])
+    assert w.grad is None
 
 
 def test_fanout_accumulates_additively():
