@@ -100,14 +100,19 @@ def _emit(text: str, out_path=None):
         Path(out_path).write_text(text)
 
 
+def _check_out(path):
+    """Fail on an ``--out`` that is a directory or whose parent is not one; every
+    command that writes a file calls this before it loads or builds anything."""
+    if path and not Path(path).parent.is_dir():
+        raise NotADirectoryError(f"--out {path}: {Path(path).parent} is not a directory")
+    if path and Path(path).is_dir():
+        raise IsADirectoryError(f"--out {path}: is a directory")
+
+
 def _run_config(args) -> dict:
-    """The resolved config of a train or protocol run; an ``--out`` that is a
-    directory or whose parent is not one fails here, before any data is built."""
+    """The resolved config of a train or protocol run, whose ``--out`` is checked."""
     resolved = _resolved_config(args, args.config and cfgmod.load_config(args.config))
-    if args.out and not Path(args.out).parent.is_dir():
-        raise NotADirectoryError(f"--out {args.out}: {Path(args.out).parent} is not a directory")
-    if args.out and Path(args.out).is_dir():
-        raise IsADirectoryError(f"--out {args.out}: is a directory")
+    _check_out(args.out)
     return resolved
 
 
@@ -147,6 +152,7 @@ def _cmd_eval(args) -> int:
     sigma = args.perturb_std
     if not 0 <= sigma < math.inf:
         raise UsageError(f"eval: --perturb-std must be finite and at least 0, got {sigma}")
+    _check_out(args.out)
     model = load_model(args.model)
     dataset = load_dataset(args.data, split=args.split, size=model.cfg.input_size)
     if sigma == 0:  # a clean eval is deterministic: one pass fills every trial
@@ -166,6 +172,7 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcam(args) -> int:
     if not 0 <= args.alpha <= 1:
         raise UsageError(f"gradcam: --alpha must be in [0, 1], got {args.alpha}")
+    _check_out(args.out)
     model = load_model(args.model)
     pixels = read_chip(args.image, model.cfg.input_size)
     smap = gradcam_map(model, pixels, args.target_class, args.layer)

@@ -149,7 +149,12 @@ def _im2col(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
            stride=1, padding=0) -> Tensor:
-    """Batched 2D cross-correlation of (N, Cin, H, W) with (Cout, Cin, Kh, Kw)."""
+    """Batched 2D cross-correlation of (N, Cin, H, W) with (Cout, Cin, Kh, Kw).
+
+    The tape node keeps only the input and weight arrays of its forward, not
+    the patch matrix: backward gathers it again (the same bytes, so the same
+    weight gradient) and writes the patch gradients into that buffer.
+    """
     x = as_tensor(x)
     if x.ndim != 4:
         raise LayerError(f"conv2d expects NCHW input, got shape {x.shape}")
@@ -167,21 +172,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             f"conv2d output degenerate: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {sh}x{sw}, padding {ph}x{pw} gives {oh}x{ow}")
 
-    xp = _pad(x.data, ph, pw)
-    cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
+    xd = x.data  # backward reads these, not x.data or weight.data changed since
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = cols @ wmat.T  # (N, oh*ow, Cout)
+    hp, wp = h + 2 * ph, w + 2 * pw
+    out = _im2col(_pad(xd, ph, pw), kh, kw, sh, sw, oh, ow) @ wmat.T  # (N, oh*ow, Cout)
     if bias is not None:
         out = out + bias.data
     out = out.transpose(0, 2, 1).reshape(n, cout, oh, ow)
-    hp, wp = xp.shape[2:]
 
     def back(g):
+        cols = _im2col(_pad(xd, ph, pw), kh, kw, sh, sw, oh, ow)  # gathered again
         gmat = g.transpose(0, 2, 3, 1).reshape(n, oh * ow, cout)
         gw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(weight.shape)
         gx = None  # Tensor.backward skips an input that needs no gradient
         if x.requires_grad:
-            taps = (gmat @ wmat).reshape(n, oh, ow, cin, kh, kw)  # the patch gradients
+            taps = np.matmul(gmat, wmat, out=cols).reshape(n, oh, ow, cin, kh, kw)  # patch grads
             gxp = np.zeros((n, hp, wp, cin))  # channels-last, like a row of taps
             for i in range(kh):
                 for j in range(kw):

@@ -414,6 +414,27 @@ def test_an_unwritable_output_path_fails_before_any_data(tmp_path, small_cfg, ca
     assert list(tmp_path.iterdir()) == [tmp_path / "desk.cfg"]
 
 
+@pytest.mark.parametrize("argv, path, problem", [
+    (["eval", "--data", "d", "--out", "nodir/r.txt"], "nodir/r.txt", "nodir is not a directory"),
+    (["eval", "--data", "d", "--out", "."], ".", "is a directory"),
+    (["gradcam", "--image", "c.pgm", "--class", "0", "--out", "nodir/c.ppm"], "nodir/c.ppm",
+     "nodir is not a directory"),
+    (["gradcam", "--image", "c.pgm", "--class", "0", "--out", "."], ".", "is a directory")],
+    ids=["eval-missing-parent", "eval-dir-out", "gradcam-missing-parent", "gradcam-dir-out"])
+def test_an_unwritable_output_path_fails_before_the_model_loads(tmp_path, capsys, monkeypatch,
+                                                               argv, path, problem):
+    def no_model(*args):
+        raise AssertionError("model loaded before the output path was checked")
+
+    monkeypatch.setattr("attnatr.cli.load_model", no_model)
+    monkeypatch.chdir(tmp_path)
+    assert run_command([*argv, "--model", "m.ckpt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --out {path}: {problem}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("noise, passes", [([], 1), (["--perturb-std", "0.05"], 3)])
 def test_eval_runs_one_pass_per_distinct_trial(tmp_path, small_cfg, capsys, monkeypatch,
                                                noise, passes):

@@ -465,16 +465,22 @@ def test_batchnorm_matches_primitive_graph_bitwise(shape):
 def recomputing_node(kind):
     """(output, leaves, batchnorm or None) of a node whose backward recomputes
     a map of its forward."""
-    x = Tensor(randn((4, 3, 6, 6), seed=34, scale=2.0) + 0.5, requires_grad=True)
+    x = Tensor(randn((4, 3, 6, 6), seed=34, scale=2.0) + 0.5,
+               requires_grad=kind != "conv-frozen-input")
     if kind == "maxpool":
         return pool2d("max", x, 3, 2, 1), [x], None
+    if kind.startswith("conv"):  # its patch matrix is 4x the input, 9x when padded
+        w = Tensor(randn((2, 3, 3, 3), seed=41), requires_grad=True)
+        b = Tensor(randn(2, seed=42), requires_grad=True) if kind == "conv-bias" else None
+        out = conv2d(x, w, b, padding=1 if kind == "conv-padded" else 0)
+        return out, [t for t in (x, w, b) if t is not None and t.requires_grad], None
     bn = BatchNorm2d(3)
     bn.gamma.data, bn.beta.data = randn(3, seed=35), randn(3, seed=36)
     bn.running_mean, bn.running_var = randn(3, seed=37), randn(3, seed=38) ** 2 + 0.5
     return bn.forward(x, kind), [x, bn.gamma, bn.beta], bn
 
 
-@pytest.mark.parametrize("kind", ["train", "eval", "maxpool"])
+@pytest.mark.parametrize("kind", ["train", "eval", "maxpool", "conv-padded"])
 def test_recomputing_nodes_ignore_layer_state_changed_after_forward(kind):
     # eval mode records a tape under Grad-CAM's suffix; max-pool has no state,
     # so its twins only run the same backward
@@ -483,6 +489,9 @@ def test_recomputing_nodes_ignore_layer_state_changed_after_forward(kind):
         out, leaves, bn = recomputing_node(kind)
         if changed and bn is not None:  # replaces the running statistics an eval node was built from
             bn.forward(Tensor(randn((4, 3, 6, 6), seed=40)), "train")
+        if changed and kind.startswith("conv"):  # new input and weight arrays, as a step gives
+            for t in leaves:
+                t.data = t.data - 0.5
         (out * Tensor(randn(out.shape, seed=39))).sum().backward()
         grads.append([t.grad for t in leaves])
     for untouched, changed in zip(*grads):
@@ -500,28 +509,33 @@ def saved_arrays(node) -> list:
     return [v for v in values if isinstance(v, np.ndarray)]
 
 
-@pytest.mark.parametrize("kind, maps", [("train", 1), ("eval", 0), ("maxpool", 0)])
+@pytest.mark.parametrize("kind, maps", [
+    ("train", 1), ("eval", 0), ("maxpool", 0),
+    ("conv-bias", 0), ("conv-frozen-input", 0), ("conv-padded", 0)])
 def test_recomputing_nodes_keep_at_most_the_centred_map(kind, maps):
     # train batchnorm keeps the centred input, not the normalised map too;
-    # max-pool keeps no padded copy
-    out, leaves, _ = recomputing_node(kind)
+    # max-pool keeps no padded copy, and conv2d neither that nor its patch matrix
+    out, _, _ = recomputing_node(kind)
+    x = out.node.inputs[0]
     inputs = [id(t.data) for t in out.node.inputs]
-    own = [a for a in saved_arrays(out.node)
-           if a.size >= leaves[0].size and id(a) not in inputs]
+    own = [a for a in saved_arrays(out.node) if a.size >= x.size and id(a) not in inputs]
     assert len(own) == maps
+
+
+def graph_tensors(loss) -> list:
+    """Every tensor reachable from ``loss``, leaves included."""
+    found, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in found:
+            found[id(t)] = t
+            stack.extend(t.node.inputs if t.node is not None else ())
+    return list(found.values())
 
 
 def tape_ops(loss) -> Counter:
     """Op name of every node reachable from ``loss``."""
-    ops, seen, stack = Counter(), set(), [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) in seen or t.node is None:
-            continue
-        seen.add(id(t))
-        ops[t.node.op] += 1
-        stack.extend(t.node.inputs)
-    return ops
+    return Counter(t.node.op for t in graph_tensors(loss) if t.node is not None)
 
 
 @pytest.mark.parametrize("attention, nodes", [("none", 72), ("cbam", 264)])
@@ -533,6 +547,34 @@ def test_desk_training_step_tape_size(attention, nodes):
     assert ops["batchnorm"] == 20
     if attention == "none":
         assert not (ops["pow"] or ops["sub"] or ops["mean"])
+
+
+def memory_root(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``a`` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_desk_training_tape_keeps_no_map_beyond_the_centred_ones():
+    # one batch's tape is the forward's tensors plus train batchnorm's centred
+    # maps: a map of a node's own is a closure array, sharing no memory with a
+    # tensor of the graph, at least as large as the node's NCHW input.  At 64²
+    # no map is 1x1, where a per-channel argmax would be as large as its map.
+    model = build_resnet18(desk_config("cbam", input_size=64), seed=32)
+    x = Tensor(randn((4, 1, 64, 64), seed=33))
+    tensors = graph_tensors(softmax_cross_entropy(model.forward(x, mode="train"), [0, 1, 2, 0]))
+    shared = {id(memory_root(t.data)) for t in tensors}
+    own = {}
+    for node in (t.node for t in tensors if t.node is not None):
+        for a in saved_arrays(node):
+            if node.inputs[0].ndim == 4 and a.size >= node.inputs[0].size \
+                    and id(memory_root(a)) not in shared:
+                own[id(memory_root(a))] = memory_root(a).nbytes
+    centred = [t.node.inputs[0].data.nbytes for t in tensors
+               if t.node is not None and t.node.op == "batchnorm"]
+    assert len(centred) == 20
+    assert sum(own.values()) <= sum(centred)
 
 
 # ---------------------------------------------------------------------------
