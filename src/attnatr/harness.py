@@ -246,15 +246,21 @@ def save_model(path, model: ResNet):
 
 def load_model(path) -> ResNet:
     """Rebuild a model from a checkpoint and its topology sidecar, skipping
-    the init draws: the checkpoint overwrites every value.  A NaN or infinite
-    value, or a negative batchnorm running variance, is an error naming the
-    first tensor that holds one."""
+    the init draws: the checkpoint overwrites every value.  A sidecar key
+    that names no model field, a NaN or infinite value, or a negative
+    batchnorm running variance, is an error naming the key or tensor."""
     sidecar_path = Path(str(path) + ".cfg")
     if not sidecar_path.is_file():
         raise HarnessError(
             f"missing topology sidecar {sidecar_path}; checkpoints are saved "
             "with a .cfg companion describing the architecture")
     side = cfgmod.parse_config(sidecar_path.read_text())
+    # model.in_channels: written before that key was dropped, always 1, ignored
+    known = {"model.seed", "model.in_channels", *(f"model.{f.name}" for f in fields(ModelConfig))}
+    unknown = [key for key in side if key not in known]
+    if unknown:
+        raise HarnessError(f"topology sidecar {sidecar_path}: unknown key "
+                           + ", ".join(map(repr, unknown)))
     cfg = ModelConfig(**{f.name: cfgmod.GETTERS[type(f.default)](side, f"model.{f.name}")
                          for f in fields(ModelConfig)})
     model = build_resnet18(cfg, seed=cfgmod.get_int(side, "model.seed"), init=False)

@@ -383,9 +383,25 @@ def global_pool(kind: str, x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x (N, in) times weight (out, in) transposed, plus bias."""
-    out = as_tensor(x) @ weight.T
-    return out + bias if bias is not None else out
+    """x (N, in) times weight (out, in) transposed, plus bias, as one tape node."""
+    x = as_tensor(x)
+    if x.ndim != 2 or weight.ndim != 2:
+        raise LayerError(
+            f"linear expects rank-2 input and weight, got {x.shape} and {weight.shape}")
+    if x.shape[1] != weight.shape[1]:
+        raise LayerError(f"linear inner dimensions differ: input {x.shape}, weight {weight.shape}")
+    xd = x.data
+    wt = np.ascontiguousarray(weight.data.T)
+    out = xd @ wt
+    if bias is not None:
+        out = out + bias.data
+
+    def back(g):
+        gx, gw = g @ wt.T, (xd.T @ g).T
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=0))
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return apply_op("linear", out, inputs, back)
 
 
 class Linear(Module):

@@ -137,21 +137,6 @@ class Tensor:
         x = self.data
         return apply_op("pow", x**p, (self,), lambda g: (g * p * x ** (p - 1.0),))
 
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeError(
-                f"matmul expects rank-2 operands, got {self.shape} and {other.shape}")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(
-                f"matmul inner dimensions differ: {self.shape} x {other.shape}")
-        a, b = self.data, other.data
-
-        def back(g):
-            return g @ b.T, a.T @ g
-
-        return apply_op("matmul", a @ b, (self, other), back)
-
     # -- shape ---------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -160,19 +145,6 @@ class Tensor:
         old = self.shape
         return apply_op("reshape", self.data.reshape(shape), (self,),
                         lambda g: (g.reshape(old),))
-
-    def transpose(self, axes=None) -> "Tensor":
-        if axes is None:
-            axes = tuple(reversed(range(self.ndim)))
-        else:
-            axes = tuple(a % self.ndim for a in axes)
-        inv = tuple(np.argsort(axes))
-        return apply_op("transpose", self.data.transpose(axes), (self,),
-                        lambda g: (g.transpose(inv),))
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     # -- reductions ----------------------------------------------------
 

@@ -156,6 +156,25 @@ def test_eval_sidecar_missing_key_is_runtime_error(tmp_path, small_cfg, capsys):
     assert "model.stage_widths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "gradcam"])
+def test_an_unknown_sidecar_key_is_runtime_error(tmp_path, small_cfg, capsys, command):
+    # a misspelt key is refused, not dropped in silence
+    ckpt = tmp_path / "m.ckpt"
+    assert run_command(["train", "--config", small_cfg, "--out", str(ckpt)]) == 0
+    sidecar = tmp_path / "m.ckpt.cfg"
+    sidecar.write_text(sidecar.read_text() + "model.attentoin = se\n"
+                       "model.insertoin = residual_wrap\nseed = 9\n")
+    chip = tmp_path / "chip.pgm"
+    write_image("pgm", chip, np.zeros((32, 32)))
+    argv = {"eval": ["--data", tmp_path],
+            "gradcam": ["--image", chip, "--class", "0", "--out", tmp_path / "cam.ppm"]}[command]
+    capsys.readouterr()
+    assert run_command([command, "--model", str(ckpt), *map(str, argv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "cam.ppm").exists()
+    assert "unknown key 'model.attentoin', 'model.insertoin', 'seed'" in err
+
+
 def test_protocol_writes_its_report(tmp_path, small_cfg, capsys):
     report = tmp_path / "protocol.txt"
     status = run_command(["protocol", "--config", small_cfg, "--variants", "none,eca",

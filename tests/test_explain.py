@@ -5,7 +5,7 @@ from attnatr.attention import ATTENTION_KINDS
 from attnatr.backbone import INSERTION_MODES, ModelConfig, build_resnet18, desk_config
 from attnatr.explain import (ExplainError, SaliencyMap, bilinear_resize,
                              gradcam_map, heat_colormap, overlay_heatmap)
-from attnatr.layers import conv2d, global_pool
+from attnatr.layers import conv2d, global_pool, linear
 from attnatr.tensor import Tensor, relu
 from helpers import gradcam_reference
 
@@ -29,7 +29,7 @@ class StubConvModel:
             acts = relu(acts)
         n, c = acts.shape[0], acts.shape[1]
         pooled = global_pool("avg", acts).reshape(n, c)
-        return pooled @ self.head_w.T, acts
+        return linear(pooled, self.head_w), acts
 
 
 def gray_image(seed=0, size=8):

@@ -368,6 +368,46 @@ def test_linear_gradients():
                     [x, layer.weight, layer.bias], tol=1e-6)
 
 
+def test_linear_rank_error():
+    with pytest.raises(LayerError, match="rank-2"):
+        linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4))))
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_linear_is_one_node_with_the_bytes_of_transpose_matmul_add(bias):
+    # the bytes of the weight.T -> x @ wt -> + bias chain it replaces, whose
+    # weight gradient came back through the transpose node
+    x = Tensor(randn((5, 4), seed=60), requires_grad=True)
+    w = Tensor(randn((3, 4), seed=61), requires_grad=True)
+    b = Tensor(randn(3, seed=62), requires_grad=True) if bias else None
+    g = randn((5, 3), seed=63)
+    out = linear(x, w, b)
+    loss = (out * Tensor(g)).sum()  # upstream gradient exactly g
+    assert tape_ops(loss) == Counter(linear=1, mul=1, sum=1)
+    wt = np.ascontiguousarray(w.data.T)
+    want = x.data @ wt
+    assert same_bits(out.data, want + b.data if bias else want)
+    loss.backward()
+    assert same_bits(x.grad, g @ wt.T)
+    assert same_bits(w.grad, (x.data.T @ g).T)
+    if bias:
+        assert same_bits(b.grad, g.sum(axis=0))
+
+
+def test_linear_shared_weight_adds_both_calls_gradients():
+    # CBAM's channel MLP runs one weight over the average and max descriptors
+    a = Tensor(randn((2, 4), seed=64), requires_grad=True)
+    m = Tensor(randn((2, 4), seed=65), requires_grad=True)
+    w = Tensor(randn((3, 4), seed=66), requires_grad=True)
+    g = randn((2, 3), seed=67)
+    loss = ((linear(a, w) + linear(m, w)) * Tensor(g)).sum()
+    assert tape_ops(loss) == Counter(linear=2, add=1, mul=1, sum=1)
+    loss.backward()
+    wt = np.ascontiguousarray(w.data.T)
+    assert same_bits(a.grad, g @ wt.T) and same_bits(m.grad, g @ wt.T)
+    assert same_bits(w.grad, (a.data.T @ g).T + (m.data.T @ g).T)
+
+
 # ---------------------------------------------------------------------------
 # batchnorm
 
@@ -538,13 +578,16 @@ def tape_ops(loss) -> Counter:
     return Counter(t.node.op for t in graph_tensors(loss) if t.node is not None)
 
 
-@pytest.mark.parametrize("attention, nodes", [("none", 72), ("cbam", 264)])
-def test_desk_training_step_tape_size(attention, nodes):
+@pytest.mark.parametrize("attention, nodes, linears",
+                         [("none", 70, 1), ("se", 134, 17), ("eca", 118, 1), ("cbam", 230, 33)])
+def test_desk_training_step_tape_size(attention, nodes, linears):
+    # one node per Linear call: the head, plus each SE or CBAM MLP stage
     model = build_resnet18(desk_config(attention), seed=32)
     x = Tensor(randn((4, 1, 32, 32), seed=33))
     ops = tape_ops(softmax_cross_entropy(model.forward(x, mode="train"), [0, 1, 2, 0]))
     assert sum(ops.values()) == nodes
     assert ops["batchnorm"] == 20
+    assert ops["linear"] == linears and not (ops["matmul"] or ops["transpose"])
     if attention == "none":
         assert not (ops["pow"] or ops["sub"] or ops["mean"])
 
