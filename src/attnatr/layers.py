@@ -174,6 +174,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     xd = x.data  # backward reads these, not x.data or weight.data changed since
     wmat = weight.data.reshape(cout, cin * kh * kw)
+    needs_gx, has_bias = x.requires_grad, bias is not None  # the closure keeps no Tensor
     hp, wp = h + 2 * ph, w + 2 * pw
     out = _im2col(_pad(xd, ph, pw), kh, kw, sh, sw, oh, ow) @ wmat.T  # (N, oh*ow, Cout)
     if bias is not None:
@@ -183,17 +184,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     def back(g):
         cols = _im2col(_pad(xd, ph, pw), kh, kw, sh, sw, oh, ow)  # gathered again
         gmat = g.transpose(0, 2, 3, 1).reshape(n, oh * ow, cout)
-        gw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(weight.shape)
+        gw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(cout, cin, kh, kw)
         gx = None  # Tensor.backward skips an input that needs no gradient
-        if x.requires_grad:
+        if needs_gx:
             taps = np.matmul(gmat, wmat, out=cols).reshape(n, oh, ow, cin, kh, kw)  # patch grads
             gxp = np.zeros((n, hp, wp, cin))  # channels-last, like a row of taps
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, i:i + sh * oh:sh, j:j + sw * ow:sw] += taps[..., i, j]
             gx = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2))
-        gb = gmat.sum(axis=(0, 1)) if bias is not None else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        return (gx, gw, gmat.sum(axis=(0, 1))) if has_bias else (gx, gw)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return apply_op("conv2d", out, inputs, back)
@@ -231,6 +231,7 @@ def conv1d_same(z: Tensor, weight: Tensor) -> Tensor:
         raise LayerError(f"conv1d kernel size must be odd, got {k}")
     pad = (k - 1) // 2
     n, c = z.shape
+    wshape = weight.shape
     w = weight.data.reshape(k)
     zp = np.pad(z.data, ((0, 0), (pad, pad)))
     out = np.zeros((n, c))
@@ -244,7 +245,7 @@ def conv1d_same(z: Tensor, weight: Tensor) -> Tensor:
             gzp[:, j:j + c] += w[j] * g
             gw[j] = float((g * zp[:, j:j + c]).sum())
         gz = gzp[:, pad:pad + c] if pad else gzp
-        return gz, gw.reshape(weight.shape)
+        return gz, gw.reshape(wshape)
 
     return apply_op("conv1d", out, (z, weight), back)
 
@@ -291,14 +292,15 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
 
-    xp = _pad(x.data, ph, pw, -np.inf if kind == "max" else 0.0)
+    xd = x.data
+    xp = _pad(xd, ph, pw, -np.inf if kind == "max" else 0.0)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
 
     if kind == "max":
         out = _window_max(win)
 
         def back(g):
-            xp = _pad(x.data, ph, pw, -np.inf)  # padded again: the node keeps no copy
+            xp = _pad(xd, ph, pw, -np.inf)  # padded again: the node keeps no copy
             # each window's first argmax, as an offset into the flat (N*C, Hp, Wp) maps
             hp, wp = xp.shape[2:]
             arg = np.argmax(_im2col(xp.reshape(-1, 1, hp, wp), kh, kw, sh, sw, oh, ow), -1)
@@ -311,9 +313,10 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
 
     out = win.reshape(n, c, oh, ow, kh * kw).mean(axis=-1)
     scale = 1.0 / (kh * kw)
+    padded = xp.shape
 
     def back_avg(g):
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(padded)
         gs = g * scale
         for i in range(kh):
             for j in range(kw):
@@ -393,12 +396,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     xd = x.data
     wt = np.ascontiguousarray(weight.data.T)
     out = xd @ wt
-    if bias is not None:
+    has_bias = bias is not None
+    if has_bias:
         out = out + bias.data
 
     def back(g):
         gx, gw = g @ wt.T, (xd.T @ g).T
-        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=0))
+        return (gx, gw, g.sum(axis=0)) if has_bias else (gx, gw)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return apply_op("linear", out, inputs, back)
@@ -430,9 +434,9 @@ class BatchNorm2d(Module):
     backward replays, op for op, the arithmetic of the same layer composed
     from primitive tensor ops, so the bytes match that primitive graph (the
     closed-form gradient would round differently).  Backward recomputes
-    the normalised map by the forward's expression, so the node keeps one
-    map of its own in train mode (the centred input) and none in eval mode,
-    where it keeps the running mean and scale of its forward.  Forward
+    the normalised map by the forward's expression: in train mode the node
+    keeps only its centred map, not its input; in eval mode it keeps its
+    input and the running mean and scale of its forward.  Forward
     builds its output in place in one new array, and never writes into its
     input or state.
     """
@@ -459,6 +463,11 @@ class BatchNorm2d(Module):
         c, xd = self.channels, x.data
         stat = (1, c, 1, 1)
         gamma = self.gamma.data.reshape(stat)
+
+        def grads(g, normed, gx):
+            return (gx, _unbroadcast(g * normed, stat).reshape(c),
+                    _unbroadcast(g, stat).reshape(c))
+
         if mode == "train":
             if x.shape[0] < 2:
                 raise LayerError("batchnorm training mode requires batch size >= 2")
@@ -471,32 +480,27 @@ class BatchNorm2d(Module):
             self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
             self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
             out = centered * inv
+            count = float(xd.size // c)
+
+            def back(g):
+                g_normed = g * gamma
+                # The primitive graph's order: _unbroadcast sums axis 0, then
+                # 2, then 3, and the three terms of d(centered) add left to right.
+                g_var = (_unbroadcast(g_normed * centered, stat) * -0.5) * shifted ** -1.5
+                g_sq = g_var / count
+                gx = (g_normed * inv + g_sq * centered) + g_sq * centered
+                return grads(g, centered * inv, gx + _unbroadcast(-gx, stat) / count)
         else:
             # backward reads these arrays: a later train forward replaces the buffers
             mu = self.running_mean.reshape(stat)
             inv = ((self.running_var + self.eps) ** -0.5).reshape(stat)
             out = xd - mu
             out *= inv
-        count = float(xd.size // c)
 
-        def back(g):
-            # the forward's expressions again, so the same bits
-            if mode == "train":
-                normed = centered * inv
-            else:
+            def back(g):
                 normed = xd - mu
                 normed *= inv
-            g_normed = g * gamma
-            gx = g_normed * inv
-            if mode == "train":
-                # The primitive graph's order: _unbroadcast sums axis 0, then
-                # 2, then 3, and the three terms of d(centered) add left to right.
-                g_var = (_unbroadcast(g_normed * centered, stat) * -0.5) * shifted ** -1.5
-                g_sq = g_var / count
-                gx = (gx + g_sq * centered) + g_sq * centered
-                gx = gx + _unbroadcast(-gx, stat) / count
-            return (gx, _unbroadcast(g * normed, stat).reshape(c),
-                    _unbroadcast(g, stat).reshape(c))
+                return grads(g, normed, (g * gamma) * inv)
 
         out *= gamma
         out += self.beta.data.reshape(stat)

@@ -1,14 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps a contiguous row-major numpy array.  Operations on tensors
-that require gradients record a TapeNode (op name, input tensors, backward
-rule); calling ``backward()`` on a scalar result replays the recorded graph
-in reverse topological order and consumes it, so it is replayed only once.
+that require gradients record a TapeNode (op name, the producers of its
+inputs, backward rule, a weak reference to its output); calling
+``backward()`` on a scalar result replays the recorded graph in reverse
+topological order and consumes it, so it is replayed only once.  The graph
+links nodes, not tensors, so an intermediate map lives only while a caller
+or a backward closure holds it.
 
 Gradient semantics: each backward pass computes the full gradient of the
-loss in a per-pass buffer and then adds it into ``.grad``, so gradients
-accumulate additively across passes and across fan-out within a pass.
-Callers zero grads explicitly between optimizer steps.
+loss in a per-pass buffer and then adds it into ``.grad`` of every leaf and
+of every intermediate that is still referenced, so gradients accumulate
+additively across passes and across fan-out within a pass.  Callers zero
+grads explicitly between optimizer steps.
 
 Operations never change a tensor once produced; ``backward`` sets ``.grad``
 and consumes nodes.  Grad mode is a ``contextvars.ContextVar``: ``no_grad``
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import weakref
 
 import numpy as np
 
@@ -67,24 +72,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class TapeNode:
     """One recorded differentiable operation.
 
-    ``backward`` maps the output gradient to a tuple of input gradients
-    (numpy arrays, or None for inputs that need none).  Saved intermediates
-    live in the closure.
+    ``inputs`` holds, per input, its producer node, the input itself if it
+    is a requires-grad leaf, or None.  ``backward`` maps the output gradient
+    to a tuple of input gradients (numpy arrays, or None for inputs that
+    need none); the arrays it reads live in its closure.  ``out`` weakly
+    references the output tensor.  Backward consumes a node by setting
+    ``backward`` to None and ``inputs`` to ().
     """
 
-    __slots__ = ("op", "inputs", "backward")
+    __slots__ = ("op", "inputs", "backward", "out")
 
-    def __init__(self, op: str, inputs: tuple, backward):
+    def __init__(self, op: str, inputs: tuple, backward, out: "Tensor"):
         self.op = op
         self.inputs = inputs
         self.backward = backward
-
-
-_CONSUMED = TapeNode("consumed", (), None)  # what backward leaves in place of a node
+        self.out = weakref.ref(out)
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -114,21 +120,17 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        return _binary("add", self, other,
-                       lambda a, b: a + b,
-                       lambda g, a, b: (g, g))
+        return _binary("add", self, other, lambda a, b: a + b, lambda g: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _binary("sub", self, other,
-                       lambda a, b: a - b,
-                       lambda g, a, b: (g, -g))
+        return _binary("sub", self, other, lambda a, b: a - b, lambda g: (g, -g))
 
     def __mul__(self, other):
-        return _binary("mul", self, other,
-                       lambda a, b: a * b,
-                       lambda g, a, b: (g * b, g * a))
+        other = as_tensor(other)
+        sd, od = self.data, other.data  # mul keeps its operands; add and sub, their shapes
+        return _binary("mul", self, other, lambda a, b: a * b, lambda g: (g * od, g * sd))
 
     __rmul__ = __mul__
 
@@ -197,14 +199,15 @@ class Tensor:
     # -- autodiff --------------------------------------------------------
 
     def backward(self):
-        """Populate ``.grad`` for every requires-grad tensor reachable from here.
+        """Populate ``.grad`` on every requires-grad leaf reachable from here,
+        and on every intermediate of the graph that is still referenced.
 
         The loss must be a scalar produced by at least one recorded op.  The
-        pass drops each node once its backward has run, freeing saved arrays
-        and intermediate gradients as it moves toward the inputs.  A later
-        pass that reaches a consumed node (the same loss again, or another
-        loss on a shared intermediate) raises ``AutodiffError`` before any
-        ``.grad`` changes.
+        pass consumes each node once its backward has run, freeing saved
+        arrays and intermediate gradients as it moves toward the inputs.  A
+        later pass that reaches a consumed node (the same loss again, or
+        another loss on a shared intermediate) raises ``AutodiffError``
+        before any ``.grad`` changes.
         """
         if self.size != 1:
             raise AutodiffError(
@@ -212,40 +215,45 @@ class Tensor:
         if self.node is None:
             raise AutodiffError("backward on a tensor with no recorded operations")
 
-        topo: list[Tensor] = []
+        # Vertices are nodes and requires-grad leaves (Tensors, which have no inputs).
+        topo: list = []
         seen = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(self.node, False)]
         while stack:
-            t, expanded = stack.pop()
+            v, expanded = stack.pop()
             if expanded:
-                topo.append(t)
+                topo.append(v)
                 continue
-            if id(t) in seen:
+            if id(v) in seen:
                 continue
-            if t.node is _CONSUMED:
-                raise AutodiffError("backward through a graph an earlier backward() consumed")
-            seen.add(id(t))
-            stack.append((t, True))
-            if t.node is not None:
-                for inp in t.node.inputs:
-                    if inp.requires_grad and id(inp) not in seen:
-                        stack.append((inp, False))
+            inputs = ()
+            if isinstance(v, TapeNode):
+                if v.backward is None:
+                    raise AutodiffError("backward through a graph an earlier backward() consumed")
+                inputs = v.inputs
+            seen.add(id(v))
+            stack.append((v, True))
+            for inp in inputs:
+                if inp is not None and id(inp) not in seen:
+                    stack.append((inp, False))
 
-        # Keys are ids: a tensor with a pending gradient is not yet popped
+        # Keys are ids: a vertex with a pending gradient is not yet popped
         # from ``topo``, which keeps it alive and so its id unique.
-        passes: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        passes: dict[int, np.ndarray] = {id(self.node): np.ones_like(self.data)}
         while topo:
-            t = topo.pop()
-            g = passes.pop(id(t), None)
+            v = topo.pop()
+            g = passes.pop(id(v), None)
             if g is None:
                 continue
-            t.grad = g if t.grad is None else t.grad + g
-            node = t.node
-            if node is None:
+            t = v if isinstance(v, Tensor) else v.out()
+            if t is not None:
+                t.grad = g if t.grad is None else t.grad + g
+            if t is v:
                 continue
-            t.node = _CONSUMED
-            for inp, gin in zip(node.inputs, node.backward(g)):
-                if gin is None or not inp.requires_grad:
+            inputs, back = v.inputs, v.backward
+            v.inputs, v.backward = (), None
+            for inp, gin in zip(inputs, back(g)):
+                if gin is None or inp is None:
                     continue
                 key = id(inp)
                 passes[key] = gin if key not in passes else passes[key] + gin
@@ -264,22 +272,28 @@ def apply_op(op: str, data: np.ndarray, inputs: tuple, backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.node = TapeNode(op, inputs, backward)
+        out.node = TapeNode(op, tuple(_producer(t) for t in inputs), backward, out)
     return out
 
 
+def _producer(t: Tensor):
+    """What a node links for input ``t``: its node, the leaf itself, or None."""
+    return (t if t.node is None else t.node) if t.requires_grad else None
+
+
 def _binary(op, a, b, fwd, bwd) -> Tensor:
+    """``fwd(a.data, b.data)``; ``bwd(g)`` gives both gradients before unbroadcasting."""
     a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
+    sa, sb = a.shape, b.shape
     try:
-        data = fwd(ad, bd)
+        data = fwd(a.data, b.data)
     except ValueError:
-        broadcast_shape(ad.shape, bd.shape)  # raises ShapeError naming both shapes
+        broadcast_shape(sa, sb)  # raises ShapeError naming both shapes
         raise
 
     def back(g):
-        ga, gb = bwd(g, ad, bd)
-        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
+        ga, gb = bwd(g)
+        return _unbroadcast(ga, sa), _unbroadcast(gb, sb)
 
     return apply_op(op, data, (a, b), back)
 
@@ -312,10 +326,11 @@ def _expand_reduced(g, shape, axes) -> np.ndarray:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); backward masks by ``out > 0``, which equals ``x > 0`` (also
+    for signed zeros and NaN), so the node keeps its output, not its input."""
     x = as_tensor(x)
-    xd = x.data
-    return apply_op("relu", np.maximum(xd, 0.0), (x,),
-                    lambda g: (g * (xd > 0.0),))
+    out = np.maximum(x.data, 0.0)
+    return apply_op("relu", out, (x,), lambda g: (g * (out > 0.0),))
 
 
 # Smallest/largest doubles inside the open interval (0, 1): finite inputs

@@ -4,14 +4,17 @@ These stay independent of the library code paths they check: the convolution
 and pooling oracles are direct nested loops, the gradient oracle is a
 central finite difference over the raw parameter arrays, the batchnorm
 oracle builds the layer from primitive tensor ops, and the Grad-CAM oracle
-records a tape through the whole network.
+records a tape through the whole network.  The tape walkers at the end list
+the nodes of a graph and the arrays their backward closures hold.
 """
+
+import types
 
 import numpy as np
 
 from attnatr.explain import bilinear_resize
 from attnatr.layers import LayerError, global_pool, pool2d
-from attnatr.tensor import Tensor, as_tensor, no_grad, relu
+from attnatr.tensor import TapeNode, Tensor, as_tensor, no_grad, relu
 
 
 def rel_error(analytic, numeric, floor=1e-8) -> float:
@@ -292,3 +295,38 @@ def gradcam_reference(model, image, cls, layer):
     if hi == lo:
         return np.ones_like(up)
     return (up - lo) / (hi - lo)
+
+
+def graph_nodes(loss) -> list:
+    """Every tape node reachable from ``loss``; leaves are not nodes."""
+    found, stack = {}, [loss.node]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, TapeNode) and id(v) not in found:
+            found[id(v)] = v
+            stack.extend(v.inputs)
+    return list(found.values())
+
+
+def closure_values(fn) -> list:
+    """Every value ``fn``'s closure holds, and those of the functions it holds."""
+    values, stack, seen = [], [fn], set()
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in f.__closure__ or ():
+            try:
+                v = cell.cell_contents
+            except ValueError:  # a name that only a branch not taken binds
+                continue
+            values.append(v)
+            if isinstance(v, types.FunctionType):
+                stack.append(v)
+    return values
+
+
+def saved_arrays(node) -> list:
+    """The numpy arrays a node's backward closure holds."""
+    return [v for v in closure_values(node.backward) if isinstance(v, np.ndarray)]

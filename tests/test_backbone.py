@@ -13,7 +13,7 @@ from attnatr.explain import gradcam_map
 from attnatr.layers import BatchNorm2d, LayerError, SgdOptimizer, softmax_cross_entropy
 from attnatr.rng import SplitMix64
 from attnatr.tensor import AutodiffError, Tensor, no_grad
-from helpers import check_gradients
+from helpers import check_gradients, graph_nodes, saved_arrays
 
 
 def randx(shape, seed=0):
@@ -215,19 +215,12 @@ def test_eval_path_bytes_are_pinned():
 
 
 def desk_step(attention, insertion):
-    """The pinned desk train step's loss, and weak references to every
-    intermediate map of its tape (Tensor has no weakref slot; its array does)."""
+    """The pinned desk train step's loss, and weak references to every array
+    that a backward closure of its tape holds."""
     model = build_resnet18(desk_config(attention, insertion=insertion), seed=5)
     x = np.random.default_rng(40).uniform(size=(8, 1, 32, 32))
     loss = softmax_cross_entropy(model.forward(Tensor(x), "train"), [0, 1, 2, 0, 1, 2, 0, 1])
-    refs, seen, stack = [], set(), list(loss.node.inputs)
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen and t.node is not None:
-            seen.add(id(t))
-            refs.append(weakref.ref(t.data))
-            stack.extend(t.node.inputs)
-    return loss, refs
+    return loss, [weakref.ref(a) for node in graph_nodes(loss) for a in saved_arrays(node)]
 
 
 @pytest.mark.parametrize("insertion", INSERTION_MODES)

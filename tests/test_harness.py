@@ -346,7 +346,7 @@ def test_train_model_frees_each_step_before_the_next_forward(monkeypatch):
     def spy(x, mode="eval"):
         live.append(sum(ref() is not None for ref in steps))
         logits = forward(x, mode)
-        steps.append(weakref.ref(logits.data))  # Tensor has no weakref slot; only it holds this
+        steps.append(weakref.ref(logits))  # the tape links nodes: only the step holds these
         return logits
 
     monkeypatch.setattr(model, "forward", spy)
@@ -361,7 +361,7 @@ def test_train_model_releases_each_tape_before_the_step(monkeypatch):
 
     def spy_stem(x):
         out = stem(x)
-        stems.append(weakref.ref(out.data))  # only the tape holds this map
+        stems.append(weakref.ref(out.node.backward))  # the tape holds it until backward
         return out
 
     def spy_step(opt):

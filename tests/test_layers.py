@@ -1,8 +1,12 @@
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import attnatr.layers
+import attnatr.tensor
+from attnatr.attention import ATTENTION_KINDS
 from attnatr.backbone import build_resnet18, desk_config
 from attnatr.checkpoint import (CheckpointError, dump_tensors, load_checkpoint,
                                 parse_tensors, save_checkpoint)
@@ -10,10 +14,11 @@ from attnatr.layers import (BatchNorm2d, Conv1d, Conv2d, LayerError, Linear,
                             SgdOptimizer, _im2col, _patch_index, conv1d_same, conv2d,
                             global_pool, linear, pool2d, softmax_cross_entropy)
 from attnatr.rng import SplitMix64
-from attnatr.tensor import Tensor
-from helpers import (batchnorm_reference, check_gradients, conv2d_input_grad_naive,
-                     conv2d_naive, im2col_naive, max_pool_backward_naive,
-                     max_pool_first_naive, pool2d_naive)
+from attnatr.tensor import Tensor, apply_op
+from helpers import (batchnorm_reference, check_gradients, closure_values,
+                     conv2d_input_grad_naive, conv2d_naive, graph_nodes, im2col_naive,
+                     max_pool_backward_naive, max_pool_first_naive, pool2d_naive,
+                     saved_arrays)
 
 
 def randn(shape, seed=0, scale=1.0):
@@ -503,21 +508,21 @@ def test_batchnorm_matches_primitive_graph_bitwise(shape):
 
 
 def recomputing_node(kind):
-    """(output, leaves, batchnorm or None) of a node whose backward recomputes
-    a map of its forward."""
+    """(output, input, leaves, batchnorm or None) of a node whose backward
+    recomputes a map of its forward."""
     x = Tensor(randn((4, 3, 6, 6), seed=34, scale=2.0) + 0.5,
                requires_grad=kind != "conv-frozen-input")
-    if kind == "maxpool":
-        return pool2d("max", x, 3, 2, 1), [x], None
+    if kind.endswith("pool"):
+        return pool2d(kind[:-4], x, 3, 2, 1), x, [x], None
     if kind.startswith("conv"):  # its patch matrix is 4x the input, 9x when padded
         w = Tensor(randn((2, 3, 3, 3), seed=41), requires_grad=True)
         b = Tensor(randn(2, seed=42), requires_grad=True) if kind == "conv-bias" else None
         out = conv2d(x, w, b, padding=1 if kind == "conv-padded" else 0)
-        return out, [t for t in (x, w, b) if t is not None and t.requires_grad], None
+        return out, x, [t for t in (x, w, b) if t is not None and t.requires_grad], None
     bn = BatchNorm2d(3)
     bn.gamma.data, bn.beta.data = randn(3, seed=35), randn(3, seed=36)
     bn.running_mean, bn.running_var = randn(3, seed=37), randn(3, seed=38) ** 2 + 0.5
-    return bn.forward(x, kind), [x, bn.gamma, bn.beta], bn
+    return bn.forward(x, kind), x, [x, bn.gamma, bn.beta], bn
 
 
 @pytest.mark.parametrize("kind", ["train", "eval", "maxpool", "conv-padded"])
@@ -526,7 +531,7 @@ def test_recomputing_nodes_ignore_layer_state_changed_after_forward(kind):
     # so its twins only run the same backward
     grads = []
     for changed in (False, True):
-        out, leaves, bn = recomputing_node(kind)
+        out, _, leaves, bn = recomputing_node(kind)
         if changed and bn is not None:  # replaces the running statistics an eval node was built from
             bn.forward(Tensor(randn((4, 3, 6, 6), seed=40)), "train")
         if changed and kind.startswith("conv"):  # new input and weight arrays, as a step gives
@@ -538,58 +543,62 @@ def test_recomputing_nodes_ignore_layer_state_changed_after_forward(kind):
         assert same_bits(changed, untouched)
 
 
-def saved_arrays(node) -> list:
-    """The numpy arrays a node's backward closure holds."""
-    values = []
-    for cell in node.backward.__closure__ or ():
-        try:
-            values.append(cell.cell_contents)
-        except ValueError:  # a name that only the other mode's branch binds
-            pass
-    return [v for v in values if isinstance(v, np.ndarray)]
-
-
 @pytest.mark.parametrize("kind, maps", [
-    ("train", 1), ("eval", 0), ("maxpool", 0),
+    ("train", 1), ("eval", 0), ("maxpool", 0), ("avgpool", 0),
     ("conv-bias", 0), ("conv-frozen-input", 0), ("conv-padded", 0)])
 def test_recomputing_nodes_keep_at_most_the_centred_map(kind, maps):
     # train batchnorm keeps the centred input, not the normalised map too;
-    # max-pool keeps no padded copy, and conv2d neither that nor its patch matrix
-    out, _, _ = recomputing_node(kind)
-    x = out.node.inputs[0]
-    inputs = [id(t.data) for t in out.node.inputs]
+    # the pools keep no padded copy, and conv2d neither that nor its patch matrix
+    out, x, leaves, _ = recomputing_node(kind)
+    inputs = [id(t.data) for t in (x, *leaves)]
     own = [a for a in saved_arrays(out.node) if a.size >= x.size and id(a) not in inputs]
     assert len(own) == maps
 
 
-def graph_tensors(loss) -> list:
-    """Every tensor reachable from ``loss``, leaves included."""
-    found, stack = {}, [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) not in found:
-            found[id(t)] = t
-            stack.extend(t.node.inputs if t.node is not None else ())
-    return list(found.values())
-
-
 def tape_ops(loss) -> Counter:
     """Op name of every node reachable from ``loss``."""
-    return Counter(t.node.op for t in graph_tensors(loss) if t.node is not None)
+    return Counter(node.op for node in graph_nodes(loss))
+
+
+def desk_loss(attention, size=32, **overrides):
+    """The loss of a desk training step on a batch of 4."""
+    model = build_resnet18(desk_config(attention, input_size=size, **overrides), seed=32)
+    x = Tensor(randn((4, 1, size, size), seed=33))
+    return softmax_cross_entropy(model.forward(x, mode="train"), [0, 1, 2, 0])
 
 
 @pytest.mark.parametrize("attention, nodes, linears",
                          [("none", 70, 1), ("se", 134, 17), ("eca", 118, 1), ("cbam", 230, 33)])
 def test_desk_training_step_tape_size(attention, nodes, linears):
     # one node per Linear call: the head, plus each SE or CBAM MLP stage
-    model = build_resnet18(desk_config(attention), seed=32)
-    x = Tensor(randn((4, 1, 32, 32), seed=33))
-    ops = tape_ops(softmax_cross_entropy(model.forward(x, mode="train"), [0, 1, 2, 0]))
+    ops = tape_ops(desk_loss(attention))
     assert sum(ops.values()) == nodes
     assert ops["batchnorm"] == 20
     assert ops["linear"] == linears and not (ops["matmul"] or ops["transpose"])
     if attention == "none":
         assert not (ops["pow"] or ops["sub"] or ops["mean"])
+
+
+def record_ops(monkeypatch, record):
+    """Call ``record(op, out, inputs)`` after every op that the tensor and
+    layers modules apply from here on."""
+    def recording(op, data, inputs, backward):
+        out = apply_op(op, data, inputs, backward)
+        record(op, out, inputs)
+        return out
+
+    monkeypatch.setattr(attnatr.tensor, "apply_op", recording)
+    monkeypatch.setattr(attnatr.layers, "apply_op", recording)
+
+
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+def test_desk_training_step_closures_hold_no_tensor(attention, monkeypatch):
+    # a Tensor in a closure would keep its map, its node and its gradient alive
+    nodes = []
+    record_ops(monkeypatch, lambda op, out, inputs: nodes.append(out.node))
+    desk_loss(attention)
+    for node in nodes:
+        assert not any(isinstance(v, Tensor) for v in closure_values(node.backward)), node.op
 
 
 def memory_root(a: np.ndarray) -> np.ndarray:
@@ -599,25 +608,47 @@ def memory_root(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def test_desk_training_tape_keeps_no_map_beyond_the_centred_ones():
-    # one batch's tape is the forward's tensors plus train batchnorm's centred
+def test_desk_training_tape_keeps_no_map_beyond_the_centred_ones(monkeypatch):
+    # one batch's tape is maps of the forward plus train batchnorm's centred
     # maps: a map of a node's own is a closure array, sharing no memory with a
-    # tensor of the graph, at least as large as the node's NCHW input.  At 64²
+    # tensor of the forward, at least as large as the node's NCHW input.  At 64²
     # no map is 1x1, where a per-channel argmax would be as large as its map.
-    model = build_resnet18(desk_config("cbam", input_size=64), seed=32)
-    x = Tensor(randn((4, 1, 64, 64), seed=33))
-    tensors = graph_tensors(softmax_cross_entropy(model.forward(x, mode="train"), [0, 1, 2, 0]))
-    shared = {id(memory_root(t.data)) for t in tensors}
+    ops = []  # every op's output and inputs, kept alive so their memory is known
+    record_ops(monkeypatch, lambda op, out, inputs: ops.append((out, inputs)))
+    desk_loss("cbam", size=64)
+    shared = {id(memory_root(t.data)) for out, inputs in ops for t in (out, *inputs)}
     own = {}
-    for node in (t.node for t in tensors if t.node is not None):
-        for a in saved_arrays(node):
-            if node.inputs[0].ndim == 4 and a.size >= node.inputs[0].size \
+    for out, inputs in ops:
+        for a in saved_arrays(out.node):
+            if inputs[0].ndim == 4 and a.size >= inputs[0].size \
                     and id(memory_root(a)) not in shared:
                 own[id(memory_root(a))] = memory_root(a).nbytes
-    centred = [t.node.inputs[0].data.nbytes for t in tensors
-               if t.node is not None and t.node.op == "batchnorm"]
+    centred = [inputs[0].data.nbytes for out, inputs in ops if out.node.op == "batchnorm"]
     assert len(centred) == 20
     assert sum(own.values()) <= sum(centred)
+
+
+def test_desk_training_tape_frees_conv_outputs_and_batchnorm_outputs_into_relu(monkeypatch):
+    # conv2d's backward reads its input, batchnorm's its centred map and
+    # relu's its output: once forward has moved on, no node holds these maps
+    convs, bns, into_relu = [], [], set()
+
+    def record(op, out, inputs):
+        if op == "conv2d":
+            convs.append(weakref.ref(out.data))
+        elif op == "batchnorm":
+            bns.append(weakref.ref(out.data))
+        elif op == "relu":
+            into_relu.update(i for i, ref in enumerate(bns) if ref() is inputs[0].data)
+
+    record_ops(monkeypatch, record)
+    loss = desk_loss("cbam", insertion="in_block")
+    # 20 backbone convs and 8 spatial-attention convs; the stem's and each
+    # block's first batchnorm feed a relu
+    assert (len(convs), len(bns), len(into_relu)) == (28, 20, 9)
+    assert [ref() for ref in convs] == [None] * 28
+    assert [bns[i]() for i in sorted(into_relu)] == [None] * 9
+    loss.backward()  # the tape the loss held all along still runs
 
 
 # ---------------------------------------------------------------------------
