@@ -11,23 +11,23 @@ from __future__ import annotations
 
 import math
 
-from .layers import Conv1d, Conv2d, LayerError, Linear, Module, global_pool
+from .layers import Conv1d, Conv2d, LayerError, Linear, Module
 from .rng import SplitMix64
 from .tensor import Tensor, concat, relu, sigmoid
 
 
-def _gate_channels(block, u: Tensor, excite):
-    """Gate u's channels by the sigmoid of ``excite(squeeze)``.
+def _gate_channels(block, u: Tensor):
+    """Gate u's channels by the sigmoid of ``block.excite(u)``, which pools
+    each channel of u over the map into (N, C) descriptors and maps them to
+    (N, C) logits.
 
-    ``squeeze(kind)`` pools each channel of u to an (N, C) descriptor.
     Returns (gates (N, C, 1, 1), gated map).
     """
     if u.ndim != 4 or u.shape[1] != block.channels:
         raise LayerError(
             f"{type(block).__name__} built for {block.channels} channels, "
             f"got input shape {u.shape}")
-    n, c = u.shape[0], u.shape[1]
-    gates = sigmoid(excite(lambda kind: global_pool(kind, u).reshape(n, c))).reshape(n, c, 1, 1)
+    gates = sigmoid(block.excite(u)).reshape(u.shape[0], u.shape[1], 1, 1)
     return gates, gates * u
 
 
@@ -47,8 +47,11 @@ class SeBlock(Module):
     def _mlp(self, d: Tensor) -> Tensor:
         return self.fc2.forward(relu(self.fc1.forward(d)))
 
+    def excite(self, u: Tensor) -> Tensor:
+        return self._mlp(u.mean(axes=(2, 3)))
+
     def forward(self, u: Tensor) -> Tensor:
-        return _gate_channels(self, u, lambda squeeze: self._mlp(squeeze("avg")))[1]
+        return _gate_channels(self, u)[1]
 
     def children(self):
         return (("0", self.fc1), ("1", self.fc2))
@@ -76,8 +79,11 @@ class EcaBlock(Module):
         self.kernel_size = eca_kernel_size(channels, gamma)
         self.conv = Conv1d(self.kernel_size, rng.split("conv"))
 
+    def excite(self, u: Tensor) -> Tensor:
+        return self.conv.forward(u.mean(axes=(2, 3)))
+
     def forward(self, u: Tensor) -> Tensor:
-        return _gate_channels(self, u, lambda squeeze: self.conv.forward(squeeze("avg")))[1]
+        return _gate_channels(self, u)[1]
 
     def children(self):
         return (("0", self.conv),)
@@ -100,10 +106,12 @@ class CbamBlock(SeBlock):
                               padding=(spatial_kernel - 1) // 2, bias=False,
                               rng=rng.split("spatial"))
 
+    def excite(self, f: Tensor) -> Tensor:
+        return self._mlp(f.mean(axes=(2, 3))) + self._mlp(f.max(axes=(2, 3)))
+
     def channel_attention(self, f: Tensor):
         """Return (gates (N, C, 1, 1), gated map)."""
-        return _gate_channels(
-            self, f, lambda squeeze: self._mlp(squeeze("avg")) + self._mlp(squeeze("max")))
+        return _gate_channels(self, f)
 
     def spatial_attention(self, f_c: Tensor):
         """Return (gates (N, 1, H, W), gated map)."""

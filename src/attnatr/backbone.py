@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .attention import ATTENTION_KINDS, make_attention
 from .config import ConfigFileError
-from .layers import BatchNorm2d, Conv2d, LayerError, Linear, Module, global_pool, pool2d
+from .layers import BatchNorm2d, Conv2d, LayerError, Linear, Module, pool2d
 from .rng import SplitMix64, ZeroStream
 from .tensor import Tensor, no_grad, relu
 
@@ -176,8 +176,7 @@ class ResNet(Module):
         return pool2d("max", h, window=3, stride=2, padding=1)
 
     def _head(self, h: Tensor) -> Tensor:
-        pooled = global_pool("avg", h).reshape(h.shape[0], h.shape[1])
-        return self.head.forward(pooled)
+        return self.head.forward(h.mean(axes=(2, 3)))
 
     def _steps(self):
         """(name, forward) for the stem, then each block in order."""

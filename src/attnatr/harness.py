@@ -255,8 +255,7 @@ def load_model(path) -> ResNet:
             f"missing topology sidecar {sidecar_path}; checkpoints are saved "
             "with a .cfg companion describing the architecture")
     side = cfgmod.parse_config(sidecar_path.read_text())
-    # model.in_channels: written before that key was dropped, always 1, ignored
-    known = {"model.seed", "model.in_channels", *(f"model.{f.name}" for f in fields(ModelConfig))}
+    known = {"model.seed", *(f"model.{f.name}" for f in fields(ModelConfig))}
     unknown = [key for key in side if key not in known]
     if unknown:
         raise HarnessError(f"topology sidecar {sidecar_path}: unknown key "

@@ -348,37 +348,19 @@ def _window_max(win: np.ndarray) -> np.ndarray:
 
 
 def global_pool(kind: str, x: Tensor) -> Tensor:
-    """Pool every spatial position into (N, C, 1, 1).
+    """Pool every spatial position into (N, C, 1, 1): ``Tensor.max`` or
+    ``Tensor.mean`` over the map.
 
-    Bitwise equal to ``pool2d`` with one window covering the whole map.
+    The output is bitwise equal to ``pool2d`` with one window covering the
+    whole map; the avg gradient is ``g / (H*W)``, which equals pool2d's
+    ``g * (1 / (H*W))`` bit for bit when H*W is a power of two.
     """
     if kind not in ("max", "avg"):
         raise LayerError(f"unknown pooling kind {kind!r}")
     x = as_tensor(x)
     if x.ndim != 4:
         raise LayerError(f"global_pool expects NCHW input, got shape {x.shape}")
-    n, c, h, w = x.shape
-    flat = x.data.reshape(n, c, 1, 1, h * w)
-
-    if kind == "max":
-        arg = np.argmax(flat, axis=-1)
-        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-
-        def back(g):
-            gx = np.zeros((n * c, h * w))
-            gx[np.arange(n * c), arg.reshape(-1)] += g.reshape(-1)
-            return (gx.reshape(n, c, h, w),)
-
-        return apply_op("maxpool2d", out, (x,), back)
-
-    scale = 1.0 / (h * w)
-
-    def back_avg(g):
-        gx = np.zeros((n, c, h, w))
-        gx += g * scale
-        return (gx,)
-
-    return apply_op("avgpool2d", flat.mean(axis=-1), (x,), back_avg)
+    return (x.max if kind == "max" else x.mean)(axes=(2, 3), keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,8 @@ class Tensor:
         shape = self.shape
         count = _reduced_count(shape, axes)
 
-        def back(g):
-            return (_expand_reduced(g, shape, axes) / count,)
+        def back(g):  # divided before it is broadcast: the same bits, count times fewer divisions
+            return (_expand_reduced(g / count, shape, axes),)
 
         return apply_op("mean", self.data.mean(axis=axes, keepdims=keepdims),
                         (self,), back)
@@ -186,9 +186,9 @@ class Tensor:
         arg = np.argmax(moved, axis=-1)
         out = np.take_along_axis(moved, arg[..., None], axis=-1)[..., 0]
 
-        def back(g):
-            gm = np.zeros_like(moved)
-            np.put_along_axis(gm, arg[..., None], g.reshape(arg.shape + (1,)), axis=-1)
+        def back(g):  # keeps the argmax, not the input it was taken from
+            gm = np.zeros(arg.size * red)
+            gm[np.arange(arg.size) * red + arg.reshape(-1)] = g.reshape(-1)
             gx = gm.reshape(tuple(shape[i] for i in perm)).transpose(np.argsort(perm))
             return (gx,)
 
@@ -322,7 +322,9 @@ def _reduced_count(shape, axes) -> float:
 def _expand_reduced(g, shape, axes) -> np.ndarray:
     """Broadcast a reduced gradient, in its keepdims shape, over the reduced extents."""
     kept = tuple(1 if axes is None or i in axes else d for i, d in enumerate(shape))
-    return np.broadcast_to(g.reshape(kept), shape).copy()
+    out = np.empty(shape)
+    out[...] = g.reshape(kept)  # assigned, not added to zeros: -0.0 stays -0.0
+    return out
 
 
 def relu(x: Tensor) -> Tensor:

@@ -440,7 +440,8 @@ def test_load_model_draws_no_init_values(tmp_path, monkeypatch):
     assert states[0] == states[1]
 
 
-def test_load_model_ignores_an_old_in_channels_sidecar_line(tmp_path):
+def test_load_model_refuses_an_old_in_channels_sidecar_line(tmp_path):
+    # a key the model dropped is refused like any other unknown key
     model = build_resnet18(desk_config("se"), seed=5)
     path = tmp_path / "m.ckpt"
     save_model(path, model)
@@ -449,9 +450,8 @@ def test_load_model_ignores_an_old_in_channels_sidecar_line(tmp_path):
     assert "in_channels" not in text
     old = cfgmod.format_config({**cfgmod.parse_config(text), "model.in_channels": "1"})
     sidecar.write_text(old)
-    clone = load_model(path)
-    assert clone.cfg == model.cfg and clone.seed == 5
-    assert dump_tensors(clone.named_state()) == path.read_bytes()
+    with pytest.raises(HarnessError, match="unknown key 'model.in_channels'"):
+        load_model(path)
 
 
 def test_load_model_requires_sidecar(tmp_path):

@@ -318,32 +318,41 @@ def test_global_pool_avg_hand():
 
 @pytest.mark.parametrize("kind", ["max", "avg"])
 def test_global_pool_equals_reduce(kind):
-    x = Tensor(randn((2, 5, 4, 6), seed=14))
-    pooled = global_pool(kind, x).data
-    reduced = (x.max(axes=(2, 3), keepdims=True) if kind == "max"
-               else x.mean(axes=(2, 3), keepdims=True)).data
-    assert np.array_equal(pooled, reduced)
+    # a tie over a whole map, a -0.0 upstream gradient, and maps whose H*W
+    # (24, 1, 9) is not a power of two, where g / (H*W) and g * (1 / (H*W)) differ
+    for shape in [(2, 5, 4, 6), (3, 4, 1, 1), (2, 3, 3, 3)]:
+        xd = randn(shape, seed=14)
+        xd[1, 2] = 0.75  # the gradient goes to the first element of the tie
+        upstream = randn(shape[:2] + (1, 1), seed=27)
+        upstream[0, 1] = -0.0
+        results = []
+        for pool in (lambda x: global_pool(kind, x),
+                     lambda x: (x.max if kind == "max" else x.mean)(axes=(2, 3), keepdims=True)):
+            x = Tensor(xd, requires_grad=True)
+            out = pool(x)
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, x.grad))
+        (out, grad), (want_out, want_grad) = results
+        assert same_bits(out, want_out) and same_bits(grad, want_grad)
+        maps = grad.reshape(shape[0], shape[1], -1)
+        if kind == "max":
+            assert maps[1, 2, 0] == upstream[1, 2, 0, 0] and not maps[1, 2, 1:].any()
+            assert np.signbit(maps[0, 1]).sum() == 1
+        else:
+            area = shape[2] * shape[3]
+            assert same_bits(grad, np.broadcast_to(upstream / area, shape))
+            assert np.signbit(maps[0, 1]).all()
 
 
 @pytest.mark.parametrize("kind", ["max", "avg"])
 @pytest.mark.parametrize("shape", [(2, 5, 4, 6), (3, 4, 1, 1)])
 def test_global_pool_matches_full_window_pool2d_bitwise(kind, shape):
+    # forward only: pool2d's gradient multiplies by 1 / (H*W) and turns a
+    # -0.0 upstream into +0.0
     xd = randn(shape, seed=26)
-    xd[1, 2] = 0.75  # a tie over the whole map: the gradient goes to the first
-    upstream = randn(shape[:2] + (1, 1), seed=27)
-    upstream[0, 1] = -0.0
-    window = shape[2:]
-    results = []
-    for pool in (lambda x: global_pool(kind, x), lambda x: pool2d(kind, x, window, window)):
-        x = Tensor(xd, requires_grad=True)
-        out = pool(x)
-        (out * Tensor(upstream)).sum().backward()
-        results.append((out.data, x.grad))
-    (out, grad), (want_out, want_grad) = results
-    assert same_bits(out, want_out) and same_bits(grad, want_grad)
-    if kind == "max":
-        tied = grad[1, 2].reshape(-1)
-        assert tied[0] == upstream[1, 2, 0, 0] and not tied[1:].any()
+    xd[1, 2] = 0.75  # a tie over the whole map
+    x = Tensor(xd)
+    assert same_bits(global_pool(kind, x).data, pool2d(kind, x, shape[2:], shape[2:]).data)
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +577,18 @@ def desk_loss(attention, size=32, **overrides):
 
 
 @pytest.mark.parametrize("attention, nodes, linears",
-                         [("none", 70, 1), ("se", 134, 17), ("eca", 118, 1), ("cbam", 230, 33)])
+                         [("none", 69, 1), ("se", 125, 17), ("eca", 109, 1), ("cbam", 213, 33)])
 def test_desk_training_step_tape_size(attention, nodes, linears):
-    # one node per Linear call: the head, plus each SE or CBAM MLP stage
+    # one node per Linear call: the head, plus each SE or CBAM MLP stage;
+    # global pooling is one mean or max node, with no reshape after it
     ops = tape_ops(desk_loss(attention))
     assert sum(ops.values()) == nodes
     assert ops["batchnorm"] == 20
     assert ops["linear"] == linears and not (ops["matmul"] or ops["transpose"])
+    assert ops["maxpool2d"] == 1 and not ops["avgpool2d"]  # the stem's max pool
     if attention == "none":
-        assert not (ops["pow"] or ops["sub"] or ops["mean"])
+        assert ops["mean"] == 1  # the head's pool
+        assert not (ops["pow"] or ops["sub"])  # batchnorm stays one fused node
 
 
 def record_ops(monkeypatch, record):

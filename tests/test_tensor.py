@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from attnatr.tensor import (AutodiffError, ShapeError, Tensor, broadcast_shape,
                             concat, no_grad, relu, sigmoid)
-from helpers import check_gradients
+from helpers import check_gradients, saved_arrays
 
 
 def randt(shape, seed=0, scale=1.0, requires_grad=False):
@@ -90,6 +90,14 @@ def test_max_axis_gradient():
     expected = np.zeros_like(x.data)
     expected[np.arange(2), np.argmax(x.data, axis=1)] = 1.0
     assert np.array_equal(x.grad, expected)
+
+
+def test_max_node_keeps_no_view_of_its_input():
+    # backward needs only the argmax: a view would keep the input map alive
+    x = randt((2, 3, 4, 5), seed=41, requires_grad=True)
+    for axes in [(2, 3), 1, None]:
+        node = x.max(axes=axes).node
+        assert not any(np.shares_memory(a, x.data) for a in saved_arrays(node)), axes
 
 
 def test_sum_keepdims_shapes():
