@@ -173,7 +173,7 @@ class ResNet(Module):
 
     def _stem(self, x: Tensor, mode: str) -> Tensor:
         h = relu(self.stem_bn.forward(self.stem_conv.forward(x), mode))
-        return pool2d("max", h, window=3, stride=2, padding=1)
+        return pool2d(h, window=3, stride=2, padding=1)
 
     def _head(self, h: Tensor) -> Tensor:
         return self.head.forward(h.mean(axes=(2, 3)))

@@ -5,7 +5,8 @@ The synthetic generator renders one bright geometric template per class
 (five shapes in three sizes, so at most 15 classes), a darker shadow region
 displaced along a fixed offset vector, multiplicative unit-mean speckle, and
 per-image jitter, all drawn from seeded splitmix streams so a config
-reproduces its dataset byte for byte.
+reproduces its dataset byte for byte on one machine and one numpy build
+(speckle and template rotation go through numpy's ``log``, ``cos``, ``sin``).
 """
 
 from __future__ import annotations

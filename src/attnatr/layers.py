@@ -268,15 +268,9 @@ class Conv1d(Module):
 # pooling
 
 
-def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
-    """Windowed max/avg pooling.
-
-    Max pooling pads with -inf and routes each window's gradient to the first
-    maximal element in row-major scan order; avg pooling pads with zeros and
-    always divides by the full window size.
-    """
-    if kind not in ("max", "avg"):
-        raise LayerError(f"unknown pooling kind {kind!r}")
+def pool2d(x: Tensor, window, stride=None, padding=0) -> Tensor:
+    """Windowed max pooling over -inf padding; each window's gradient goes to
+    its first maximal element in row-major scan order."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise LayerError(f"pool2d expects NCHW input, got shape {x.shape}")
@@ -293,37 +287,21 @@ def pool2d(kind: str, x: Tensor, window, stride=None, padding=0) -> Tensor:
     ow = (w + 2 * pw - kw) // sw + 1
 
     xd = x.data
-    xp = _pad(xd, ph, pw, -np.inf if kind == "max" else 0.0)
+    xp = _pad(xd, ph, pw, -np.inf)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    out = _window_max(win)
 
-    if kind == "max":
-        out = _window_max(win)
+    def back(g):
+        xp = _pad(xd, ph, pw, -np.inf)  # padded again: the node keeps no copy
+        # each window's first argmax, as an offset into the flat (N*C, Hp, Wp) maps
+        hp, wp = xp.shape[2:]
+        arg = np.argmax(_im2col(xp.reshape(-1, 1, hp, wp), kh, kw, sh, sw, oh, ow), -1)
+        at = _patch_index(1, hp, wp, kh, kw, sh, sw, oh, ow)[np.arange(oh * ow), arg]
+        at += np.arange(n * c)[:, None] * (hp * wp)  # bincount adds in (n, c, oh, ow) order
+        gxp = np.bincount(at.ravel(), weights=g.ravel(), minlength=xp.size)
+        return (gxp.reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w],)
 
-        def back(g):
-            xp = _pad(xd, ph, pw, -np.inf)  # padded again: the node keeps no copy
-            # each window's first argmax, as an offset into the flat (N*C, Hp, Wp) maps
-            hp, wp = xp.shape[2:]
-            arg = np.argmax(_im2col(xp.reshape(-1, 1, hp, wp), kh, kw, sh, sw, oh, ow), -1)
-            at = _patch_index(1, hp, wp, kh, kw, sh, sw, oh, ow)[np.arange(oh * ow), arg]
-            at += np.arange(n * c)[:, None] * (hp * wp)  # bincount adds in (n, c, oh, ow) order
-            gxp = np.bincount(at.ravel(), weights=g.ravel(), minlength=xp.size)
-            return (gxp.reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w],)
-
-        return apply_op("maxpool2d", out, (x,), back)
-
-    out = win.reshape(n, c, oh, ow, kh * kw).mean(axis=-1)
-    scale = 1.0 / (kh * kw)
-    padded = xp.shape
-
-    def back_avg(g):
-        gxp = np.zeros(padded)
-        gs = g * scale
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gs
-        return (gxp[:, :, ph:ph + h, pw:pw + w],)
-
-    return apply_op("avgpool2d", out, (x,), back_avg)
+    return apply_op("maxpool2d", out, (x,), back)
 
 
 def _window_max(win: np.ndarray) -> np.ndarray:
@@ -345,22 +323,6 @@ def _window_max(win: np.ndarray) -> np.ndarray:
         cand = win[tie].reshape(-1, kh * kw)
         out[tie] = cand[np.arange(len(cand)), np.argmax(cand, axis=-1)]
     return out
-
-
-def global_pool(kind: str, x: Tensor) -> Tensor:
-    """Pool every spatial position into (N, C, 1, 1): ``Tensor.max`` or
-    ``Tensor.mean`` over the map.
-
-    The output is bitwise equal to ``pool2d`` with one window covering the
-    whole map; the avg gradient is ``g / (H*W)``, which equals pool2d's
-    ``g * (1 / (H*W))`` bit for bit when H*W is a power of two.
-    """
-    if kind not in ("max", "avg"):
-        raise LayerError(f"unknown pooling kind {kind!r}")
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise LayerError(f"global_pool expects NCHW input, got shape {x.shape}")
-    return (x.max if kind == "max" else x.mean)(axes=(2, 3), keepdims=True)
 
 
 # ---------------------------------------------------------------------------

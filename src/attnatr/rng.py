@@ -1,9 +1,11 @@
 """Seeded splitmix64 random streams.
 
 Every source of randomness in the package (parameter init, data shuffling,
-speckle, jitter, gaussian perturbation) draws from this generator so that a
-run is bit-reproducible from its seed alone, independent of interpreter or
-platform RNG state.
+speckle, jitter, gaussian perturbation) draws from this generator, never
+from interpreter or platform RNG state.  A run is bit-reproducible from its
+seed on one machine, one numpy build and one BLAS kernel: integer and
+uniform draws are exact everywhere, but gaussian and exponential draws go
+through numpy's ``log``/``cos``/``sin`` and the model's GEMMs through BLAS.
 
 The generator is the splitmix64 mixer: output i of a stream seeded with s is
 

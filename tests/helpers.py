@@ -13,7 +13,7 @@ import types
 import numpy as np
 
 from attnatr.explain import bilinear_resize
-from attnatr.layers import LayerError, global_pool, pool2d
+from attnatr.layers import LayerError, pool2d
 from attnatr.tensor import TapeNode, Tensor, as_tensor, no_grad, relu
 
 
@@ -160,14 +160,13 @@ def im2col_naive(xp, kh, kw, sh, sw):
     return out
 
 
-def pool2d_naive(kind, x, window, stride, padding=(0, 0)):
-    """Direct windowed pooling reference (zero/-inf padding to match)."""
+def pool2d_naive(x, window, stride, padding=(0, 0)):
+    """Direct windowed max pooling reference (-inf padding to match)."""
     n, c, h, w = x.shape
     kh, kw = window
     sh, sw = stride
     ph, pw = padding
-    fill = -np.inf if kind == "max" else 0.0
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
     out = np.zeros((n, c, oh, ow))
@@ -176,7 +175,7 @@ def pool2d_naive(kind, x, window, stride, padding=(0, 0)):
             for oi in range(oh):
                 for oj in range(ow):
                     win = xp[ni, ci, oi * sh:oi * sh + kh, oj * sw:oj * sw + kw]
-                    out[ni, ci, oi, oj] = win.max() if kind == "max" else win.mean()
+                    out[ni, ci, oi, oj] = win.max()
     return out
 
 
@@ -275,12 +274,12 @@ def gradcam_reference(model, image, cls, layer):
     image = np.asarray(image, dtype=np.float64)
     x = Tensor(image.reshape(1, 1, *image.shape[-2:]))
     h = relu(model.stem_bn.forward(model.stem_conv.forward(x), "eval"))
-    h = pool2d("max", h, window=3, stride=2, padding=1)
+    h = pool2d(h, window=3, stride=2, padding=1)
     captured = {"stem": h}
     for name, block in model._named_blocks():
         h = block.forward(h, "eval")
         captured[name] = h
-    logits = model.head.forward(global_pool("avg", h).reshape(1, h.shape[1]))
+    logits = model.head.forward(h.mean(axes=(2, 3)))
     onehot = np.zeros(logits.shape)
     onehot[0, cls] = 1.0
     (logits * Tensor(onehot)).sum().backward()

@@ -5,7 +5,7 @@ from attnatr.attention import ATTENTION_KINDS
 from attnatr.backbone import INSERTION_MODES, ModelConfig, build_resnet18, desk_config
 from attnatr.explain import (ExplainError, SaliencyMap, bilinear_resize,
                              gradcam_map, heat_colormap, overlay_heatmap)
-from attnatr.layers import conv2d, global_pool, linear
+from attnatr.layers import conv2d, linear
 from attnatr.tensor import Tensor, relu
 from helpers import gradcam_reference
 
@@ -27,9 +27,7 @@ class StubConvModel:
         acts = conv2d(x, self.conv_w, None, stride=1, padding=1)
         if self.use_relu:
             acts = relu(acts)
-        n, c = acts.shape[0], acts.shape[1]
-        pooled = global_pool("avg", acts).reshape(n, c)
-        return linear(pooled, self.head_w), acts
+        return linear(acts.mean(axes=(2, 3)), self.head_w), acts
 
 
 def gray_image(seed=0, size=8):

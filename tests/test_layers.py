@@ -12,7 +12,7 @@ from attnatr.checkpoint import (CheckpointError, dump_tensors, load_checkpoint,
                                 parse_tensors, save_checkpoint)
 from attnatr.layers import (BatchNorm2d, Conv1d, Conv2d, LayerError, Linear,
                             SgdOptimizer, _im2col, _patch_index, conv1d_same, conv2d,
-                            global_pool, linear, pool2d, softmax_cross_entropy)
+                            linear, pool2d, softmax_cross_entropy)
 from attnatr.rng import SplitMix64
 from attnatr.tensor import Tensor, apply_op
 from helpers import (batchnorm_reference, check_gradients, closure_values,
@@ -233,25 +233,19 @@ def test_conv1d_gradients():
 
 def test_pool2d_max_hand():
     x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    assert pool2d("max", x, 2, 2).item() == 4.0
+    assert pool2d(x, 2, 2).item() == 4.0
 
 
-def test_pool2d_avg_hand():
-    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    assert pool2d("avg", x, 2, 2).item() == 2.5
-
-
-@pytest.mark.parametrize("kind", ["max", "avg"])
-@pytest.mark.parametrize("trial", range(6))
-def test_pool2d_random_vs_naive(kind, trial):
+@pytest.mark.parametrize("trial", range(12))
+def test_pool2d_random_vs_naive(trial):
     rng = np.random.default_rng(200 + trial)
     kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     sh, sw = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     ph, pw = int(rng.integers(0, kh)), int(rng.integers(0, kw))
     h, w = int(rng.integers(kh, 8)), int(rng.integers(kw, 8))
     x = rng.normal(size=(2, 3, h, w))
-    got = pool2d(kind, Tensor(x), (kh, kw), (sh, sw), (ph, pw)).data
-    want = pool2d_naive(kind, x, (kh, kw), (sh, sw), (ph, pw))
+    got = pool2d(Tensor(x), (kh, kw), (sh, sw), (ph, pw)).data
+    want = pool2d_naive(x, (kh, kw), (sh, sw), (ph, pw))
     assert np.array_equal(got, want)
 
 
@@ -266,7 +260,7 @@ def test_pool2d_max_keeps_first_maximal_element_bitwise(window, stride, padding)
     x[1, 1, 6, 6] = np.nan
     x[1, 1, 6, 7] = -np.nan  # a second NaN, with the sign bit set
     x[1, 2, 4:7, 4:7] = -np.inf
-    got = pool2d("max", Tensor(x), window, stride, padding).data
+    got = pool2d(Tensor(x), window, stride, padding).data
     assert same_bits(got, max_pool_first_naive(x, window, stride, padding))
 
 
@@ -281,7 +275,7 @@ def test_pool2d_max_backward_matches_naive_bitwise(window, stride, padding):
     x[1, 0, 5, 5] = np.nan
     x[1, 0, 5, 6] = -np.nan
     x[1, 2, 2:6, 3:7] = -np.inf
-    out = pool2d("max", Tensor(x, requires_grad=True), window, stride, padding)
+    out = pool2d(Tensor(x, requires_grad=True), window, stride, padding)
     g = rng.normal(size=out.shape)
     g[rng.uniform(size=g.shape) < 0.2] = -0.0
     (gx,) = out.node.backward(g)
@@ -290,34 +284,32 @@ def test_pool2d_max_backward_matches_naive_bitwise(window, stride, padding):
 
 def test_pool2d_window_too_large_error():
     with pytest.raises(LayerError, match="larger"):
-        pool2d("max", Tensor(np.zeros((1, 1, 2, 2))), 4, 1)
+        pool2d(Tensor(np.zeros((1, 1, 2, 2))), 4, 1)
 
 
 def test_pool2d_max_gradient_routes_to_first_argmax():
     x = Tensor(np.array([[[[2.0, 2.0], [1.0, 2.0]]]]), requires_grad=True)
-    pool2d("max", x, 2, 2).sum().backward()
+    pool2d(x, 2, 2).sum().backward()
     assert np.array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
-@pytest.mark.parametrize("kind", ["max", "avg"])
-def test_pool2d_gradients(kind):
+def test_pool2d_gradients():
     x = Tensor(randn((2, 2, 6, 6), seed=13), requires_grad=True)
-    check_gradients(lambda: (pool2d(kind, x, 3, 2, 1)
-                             * pool2d(kind, x, 3, 2, 1)).sum(), [x], tol=1e-5)
+    check_gradients(lambda: (pool2d(x, 3, 2, 1) * pool2d(x, 3, 2, 1)).sum(), [x], tol=1e-5)
 
 
-def test_global_pool_channel_constant():
+def test_map_mean_of_channel_constant():
     x = Tensor(np.stack([np.full((4, 4), c) for c in (1.0, -2.0, 0.5)])[None])
-    assert np.allclose(global_pool("avg", x).data.reshape(-1), [1.0, -2.0, 0.5])
+    assert np.allclose(x.mean(axes=(2, 3)).data.reshape(-1), [1.0, -2.0, 0.5])
 
 
-def test_global_pool_avg_hand():
+def test_map_mean_hand():
     x = Tensor(np.array([[[[0.0, 0.0], [0.0, 4.0]]]]))
-    assert global_pool("avg", x).item() == 1.0
+    assert x.mean(axes=(2, 3), keepdims=True).item() == 1.0
 
 
-@pytest.mark.parametrize("kind", ["max", "avg"])
-def test_global_pool_equals_reduce(kind):
+@pytest.mark.parametrize("reduce", ["max", "mean"])
+def test_map_max_and_mean_route_gradients_bitwise(reduce):
     # a tie over a whole map, a -0.0 upstream gradient, and maps whose H*W
     # (24, 1, 9) is not a power of two, where g / (H*W) and g * (1 / (H*W)) differ
     for shape in [(2, 5, 4, 6), (3, 4, 1, 1), (2, 3, 3, 3)]:
@@ -325,34 +317,26 @@ def test_global_pool_equals_reduce(kind):
         xd[1, 2] = 0.75  # the gradient goes to the first element of the tie
         upstream = randn(shape[:2] + (1, 1), seed=27)
         upstream[0, 1] = -0.0
-        results = []
-        for pool in (lambda x: global_pool(kind, x),
-                     lambda x: (x.max if kind == "max" else x.mean)(axes=(2, 3), keepdims=True)):
-            x = Tensor(xd, requires_grad=True)
-            out = pool(x)
-            (out * Tensor(upstream)).sum().backward()
-            results.append((out.data, x.grad))
-        (out, grad), (want_out, want_grad) = results
-        assert same_bits(out, want_out) and same_bits(grad, want_grad)
-        maps = grad.reshape(shape[0], shape[1], -1)
-        if kind == "max":
+        x = Tensor(xd, requires_grad=True)
+        out = getattr(x, reduce)(axes=(2, 3), keepdims=True)
+        (out * Tensor(upstream)).sum().backward()
+        assert same_bits(out.data, getattr(xd, reduce)(axis=(2, 3), keepdims=True))
+        maps = x.grad.reshape(shape[0], shape[1], -1)
+        if reduce == "max":
             assert maps[1, 2, 0] == upstream[1, 2, 0, 0] and not maps[1, 2, 1:].any()
             assert np.signbit(maps[0, 1]).sum() == 1
         else:
             area = shape[2] * shape[3]
-            assert same_bits(grad, np.broadcast_to(upstream / area, shape))
+            assert same_bits(x.grad, np.broadcast_to(upstream / area, shape))
             assert np.signbit(maps[0, 1]).all()
 
 
-@pytest.mark.parametrize("kind", ["max", "avg"])
 @pytest.mark.parametrize("shape", [(2, 5, 4, 6), (3, 4, 1, 1)])
-def test_global_pool_matches_full_window_pool2d_bitwise(kind, shape):
-    # forward only: pool2d's gradient multiplies by 1 / (H*W) and turns a
-    # -0.0 upstream into +0.0
+def test_map_max_matches_full_window_pool2d_bitwise(shape):
     xd = randn(shape, seed=26)
     xd[1, 2] = 0.75  # a tie over the whole map
     x = Tensor(xd)
-    assert same_bits(global_pool(kind, x).data, pool2d(kind, x, shape[2:], shape[2:]).data)
+    assert same_bits(x.max(axes=(2, 3), keepdims=True).data, pool2d(x, shape[2:], shape[2:]).data)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +505,8 @@ def recomputing_node(kind):
     recomputes a map of its forward."""
     x = Tensor(randn((4, 3, 6, 6), seed=34, scale=2.0) + 0.5,
                requires_grad=kind != "conv-frozen-input")
-    if kind.endswith("pool"):
-        return pool2d(kind[:-4], x, 3, 2, 1), x, [x], None
+    if kind == "maxpool":
+        return pool2d(x, 3, 2, 1), x, [x], None
     if kind.startswith("conv"):  # its patch matrix is 4x the input, 9x when padded
         w = Tensor(randn((2, 3, 3, 3), seed=41), requires_grad=True)
         b = Tensor(randn(2, seed=42), requires_grad=True) if kind == "conv-bias" else None
@@ -553,11 +537,11 @@ def test_recomputing_nodes_ignore_layer_state_changed_after_forward(kind):
 
 
 @pytest.mark.parametrize("kind, maps", [
-    ("train", 1), ("eval", 0), ("maxpool", 0), ("avgpool", 0),
+    ("train", 1), ("eval", 0), ("maxpool", 0),
     ("conv-bias", 0), ("conv-frozen-input", 0), ("conv-padded", 0)])
 def test_recomputing_nodes_keep_at_most_the_centred_map(kind, maps):
     # train batchnorm keeps the centred input, not the normalised map too;
-    # the pools keep no padded copy, and conv2d neither that nor its patch matrix
+    # max-pool keeps no padded copy, and conv2d neither that nor its patch matrix
     out, x, leaves, _ = recomputing_node(kind)
     inputs = [id(t.data) for t in (x, *leaves)]
     own = [a for a in saved_arrays(out.node) if a.size >= x.size and id(a) not in inputs]
@@ -585,7 +569,7 @@ def test_desk_training_step_tape_size(attention, nodes, linears):
     assert sum(ops.values()) == nodes
     assert ops["batchnorm"] == 20
     assert ops["linear"] == linears and not (ops["matmul"] or ops["transpose"])
-    assert ops["maxpool2d"] == 1 and not ops["avgpool2d"]  # the stem's max pool
+    assert ops["maxpool2d"] == 1  # the stem's max pool
     if attention == "none":
         assert ops["mean"] == 1  # the head's pool
         assert not (ops["pow"] or ops["sub"])  # batchnorm stays one fused node
