@@ -140,6 +140,10 @@ class ResNet(Module):
     # -- forward --------------------------------------------------------
 
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
+        """Logits of an (N, 1, size, size) batch.  An eval forward only reads
+        the model, so concurrent eval forwards on one model are safe; a
+        train forward updates batchnorm running statistics and needs
+        exclusive access."""
         return self._head(_run(self._steps(), self._checked(x), mode))
 
     def feature_layers(self) -> list[str]:

@@ -8,12 +8,15 @@ printed per-test values under round-half-even at two decimals.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from . import config as cfgmod
 from .backbone import ModelConfig, ResNet, build_resnet18, desk_config
 from .checkpoint import dump_tensors, load_checkpoint, save_checkpoint
@@ -74,15 +77,61 @@ def _batch_array(images) -> np.ndarray:
     return np.stack([img.magnitude for img in images])[:, None, :, :]
 
 
+# Per-chip work (pixels x stem width) from which a batch splits across cores:
+# the desk profile does 4,096 and is bound by the interpreter lock, where
+# threads only slow it; the full profile does 1,048,576.
+SPLIT_MIN_CHIP_WORK = 65_536
+_pool = None  # worker threads for every chunk but the first, made on first split
+_pool_lock = threading.Lock()
+
+
+def _eval_forward(model: ResNet, x: np.ndarray) -> np.ndarray:
+    """Eval-mode logits of ``x``; grad mode is per thread, so each chunk's
+    thread turns the tape off itself."""
+    with no_grad():
+        return model.forward(Tensor(x), mode="eval").data
+
+
+def _split_forward(model: ResNet, x: np.ndarray, parts: int) -> np.ndarray:
+    """Eval-mode logits of ``x`` as ``parts`` contiguous chunks, one per core,
+    joined in order.  OpenBLAS runs one thread per chunk meanwhile."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, blas.split_cores() - 1),
+                                       thread_name_prefix="attnatr-eval")
+    first, *rest = np.array_split(x, parts)
+    with blas.one_thread():
+        futures = [_pool.submit(_eval_forward, model, chunk) for chunk in rest]
+        try:
+            logits = [_eval_forward(model, first)]
+        finally:
+            wait(futures)  # no chunk still runs once BLAS threads are restored
+        logits += [f.result() for f in futures]
+    return np.concatenate(logits)
+
+
+def _eval_logits(model: ResNet, x: np.ndarray) -> np.ndarray:
+    """Eval-mode logits, split across cores when each chip is large enough."""
+    widths = getattr(model.cfg, "stage_widths", None)
+    if widths and x[0].size * widths[0] >= SPLIT_MIN_CHIP_WORK:
+        parts = min(blas.split_cores(), len(x))
+        if parts > 1:
+            return _split_forward(model, x, parts)
+    return _eval_forward(model, x)
+
+
 def top1_accuracy(model: ResNet, dataset: Dataset, batch_size: int = 32) -> float:
     """Fraction of samples whose argmax logit equals the label.
 
     Argmax ties break to the lowest class index.  Convolutions multiply each
     sample on its own, but a linear layer (the head, and the SE and CBAM
-    MLPs) multiplies the whole batch at once, and BLAS may round it
-    differently by row count (by about 1e-17).  So accuracy can differ
-    between batch sizes only for a sample whose top two logits lie within
-    that rounding.
+    MLPs) multiplies its rows at once, and BLAS may round them differently
+    by row count (by about 1e-17).  A batch whose chips are large (full
+    profile) is scored in one contiguous chunk per usable core, so those
+    row counts follow the core count as well as the batch size.  So
+    accuracy can differ between batch sizes or core counts only for a
+    sample whose top two logits lie within that rounding.
     """
     if len(dataset) == 0:
         raise HarnessError("cannot evaluate on an empty dataset")
@@ -93,12 +142,10 @@ def top1_accuracy(model: ResNet, dataset: Dataset, batch_size: int = 32) -> floa
         raise HarnessError(f"label {label} is out of range for a model of "
                            f"{model.cfg.num_classes} classes")
     hits = 0
-    with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            chunk = dataset.images[start:start + batch_size]
-            logits = model.forward(Tensor(_batch_array(chunk)), mode="eval")
-            pred = np.argmax(logits.data, axis=1)
-            hits += int(sum(p == img.label for p, img in zip(pred, chunk)))
+    for start in range(0, len(dataset), batch_size):
+        chunk = dataset.images[start:start + batch_size]
+        pred = np.argmax(_eval_logits(model, _batch_array(chunk)), axis=1)
+        hits += int(sum(p == img.label for p, img in zip(pred, chunk)))
     return hits / len(dataset)
 
 

@@ -1,10 +1,14 @@
+import sys
+import threading
 import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from attnatr import blas, harness
 from attnatr import config as cfgmod
+from attnatr import tensor as tensormod
 from attnatr.attention import ATTENTION_KINDS
 from attnatr.backbone import build_resnet18, desk_config
 from attnatr.data import Dataset, SarImage, SynthConfig, synth_dataset
@@ -166,6 +170,143 @@ def test_accuracy_empty_dataset_error():
 def test_accuracy_batch_size_below_one_error(batch_size):
     with pytest.raises(HarnessError, match=f"batch size must be at least 1, got {batch_size}"):
         top1_accuracy(ConstantModel(3, 8), gray_dataset([0, 1, 2]), batch_size)
+
+
+# ---------------------------------------------------------------------------
+# evaluation split across cores
+
+
+@pytest.mark.parametrize("attention", ATTENTION_KINDS)
+def test_concurrent_eval_forwards_match_serial_and_record_no_tape(attention, monkeypatch):
+    # ResNet.forward's contract: eval forwards on one model may run at once.
+    # Grad mode is per thread, so a worker that did not turn the tape off
+    # itself would record nodes here (the parameters require grad).
+    model = build_resnet18(desk_config(attention), seed=8)
+    x = np.random.default_rng(3).uniform(size=(6, 1, 32, 32))
+    serial = harness._eval_forward(model, x).tobytes()
+    recorded = []
+
+    class RecordingNode(tensormod.TapeNode):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            recorded.append(threading.current_thread().name)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tensormod, "TapeNode", RecordingNode)
+    model.forward(Tensor(x), mode="eval")  # grad on: the recording works
+    assert recorded and set(recorded) == {threading.current_thread().name}
+    recorded.clear()
+
+    workers = 4  # more than the cores of most test machines
+    start = threading.Barrier(workers)
+    results = [[] for _ in range(workers)]
+
+    def work(i):
+        start.wait(timeout=30)
+        for _ in range(3):
+            results[i].append(harness._eval_forward(model, x).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[serial] * 3] * workers
+    assert recorded == []
+
+
+def _failing_on_chunk(model, rows, exc):
+    """model.forward that raises ``exc`` on the chunk starting with ``rows``'s first row."""
+    forward = model.forward
+
+    def failing(x, mode):
+        if np.array_equal(x.data[0], rows[0]):
+            raise exc
+        return forward(x, mode=mode)
+
+    return failing
+
+
+def test_split_forward_matches_each_chunk_and_pins_blas_inside(monkeypatch):
+    model = build_resnet18(desk_config("cbam"), seed=8)
+    x = np.random.default_rng(4).uniform(size=(5, 1, 32, 32))
+    chunks = np.array_split(x, 2)
+    expected = np.concatenate([model.forward(Tensor(c), mode="eval").data for c in chunks])
+    before = blas.threads()
+    seen = []
+    forward = model.forward
+
+    def recording(x, mode):
+        seen.append((len(x.data), blas.threads()))
+        return forward(x, mode=mode)
+
+    monkeypatch.setattr(model, "forward", recording)
+    got = harness._split_forward(model, x, 2)
+    assert got.tobytes() == expected.tobytes()
+    assert sorted(seen) == [(2, None if before is None else 1), (3, None if before is None else 1)]
+    assert blas.threads() == before
+
+
+@pytest.mark.parametrize("chunk", [0, 1])  # the calling thread's chunk, a worker's chunk
+def test_split_forward_reraises_a_chunk_error_and_restores_blas(chunk, monkeypatch):
+    model = build_resnet18(desk_config(), seed=8)
+    x = np.random.default_rng(5).uniform(size=(4, 1, 32, 32))
+    boom = RuntimeError("chunk failed")
+    monkeypatch.setattr(model, "forward",
+                        _failing_on_chunk(model, np.array_split(x, 2)[chunk], boom))
+    before = blas.threads()
+    with pytest.raises(RuntimeError) as info:
+        harness._split_forward(model, x, 2)
+    assert info.value is boom
+    assert blas.threads() == before
+
+
+def test_desk_and_stub_evaluation_never_split(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluation split a batch it should score serially")
+
+    monkeypatch.setattr(harness, "_pool", None)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", forbidden)
+    monkeypatch.setattr(blas, "one_thread", forbidden)
+    monkeypatch.setattr(blas, "split_cores", lambda: 8)
+    before = blas.threads()
+    ds = synth_dataset(SynthConfig(per_class_test=11, seed=7), "test")
+    top1_accuracy(build_resnet18(desk_config("cbam"), seed=8), ds, 32)
+    assert top1_accuracy(LookupModel(ds, 3), ds, 32) == 1.0
+    big = Dataset([SarImage(np.full((128, 128), 0.1 * i), i % 3) for i in range(8)],
+                  ["0", "1", "2"], "test")
+    top1_accuracy(ConstantModel(3, 128), big, 8)
+    assert harness._pool is None
+    assert blas.threads() == before
+
+
+def test_full_size_chips_split_into_one_chunk_per_core(monkeypatch):
+    # the work gate reads the chip size and the model's stem width
+    big = Dataset([SarImage(np.full((128, 128), 0.1 * i), i % 3) for i in range(8)],
+                  ["0", "1", "2"], "test")
+    model = LookupModel(big, 3)
+    model.cfg.stage_widths = (64,)
+    calls = []
+    forward = model.forward
+
+    def recording(x, mode="eval"):
+        calls.append((len(x.data), threading.current_thread().name))
+        return forward(x, mode)
+
+    monkeypatch.setattr(model, "forward", recording)
+    monkeypatch.setattr(blas, "split_cores", lambda: 2)
+    before = blas.threads()
+    assert top1_accuracy(model, big, 8) == 1.0
+    assert sorted(n for n, _ in calls) == [4, 4]
+    assert len({name for _, name in calls}) == 2
+    assert blas.threads() == before
 
 
 # ---------------------------------------------------------------------------
