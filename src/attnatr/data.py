@@ -122,9 +122,10 @@ def parse_mstar_phoenix(data: bytes):
 
     plane = rows * cols * 4
     magnitude = np.frombuffer(data[offset:offset + plane], dtype=">f4")
-    magnitude = magnitude.astype(np.float64).reshape(rows, cols)
+    # checked before the cast, which warns on a signaling NaN
     if not np.isfinite(magnitude).all():
         raise PhoenixError("magnitude plane holds a non-finite value")
+    magnitude = magnitude.astype(np.float64).reshape(rows, cols)
     return SarImage(minmax_normalize(magnitude), label=-1), header
 
 

@@ -374,15 +374,17 @@ class BatchNorm2d(Module):
     activation scales so normalized activations hit mean 0 / variance 1
     within 1e-6 on ordinary inputs; float64 keeps the tiny epsilon stable.
 
-    Each forward is one ``batchnorm`` tape node over (x, gamma, beta) whose
-    backward replays, op for op, the arithmetic of the same layer composed
-    from primitive tensor ops, so the bytes match that primitive graph (the
-    closed-form gradient would round differently).  Backward recomputes
-    the normalised map by the forward's expression: in train mode the node
-    keeps only its centred map, not its input; in eval mode it keeps its
-    input and the running mean and scale of its forward.  Forward
-    builds its output in place in one new array, and never writes into its
-    input or state.
+    Each forward is one ``batchnorm`` tape node over (x, gamma, beta).  Its
+    train-mode backward is the closed form (Ioffe & Szegedy, arXiv
+    1502.03167, section 3): with xhat the normalised map and m the count
+    per channel, the beta and gamma gradients are the channel sums sum(g)
+    and sum(g * xhat), and
+    gx = (gamma * inv / m) * (m * g - sum(g) - xhat * sum(g * xhat)).
+    Backward recomputes the normalised map by the forward's expression: in
+    train mode the node keeps only its centred map, not its input, and
+    normalises it in place; in eval mode it keeps its input and the running
+    mean and scale of its forward.  Forward builds its output in place in
+    one new array, and never writes into its input or state.
     """
 
     param_names = ("gamma", "beta")
@@ -408,18 +410,13 @@ class BatchNorm2d(Module):
         stat = (1, c, 1, 1)
         gamma = self.gamma.data.reshape(stat)
 
-        def grads(g, normed, gx):
-            return (gx, _unbroadcast(g * normed, stat).reshape(c),
-                    _unbroadcast(g, stat).reshape(c))
-
         if mode == "train":
             if x.shape[0] < 2:
                 raise LayerError("batchnorm training mode requires batch size >= 2")
             mu = xd.mean(axis=(0, 2, 3), keepdims=True)
             centered = xd - mu
             var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            shifted = var + self.eps
-            inv = shifted ** -0.5
+            inv = (var + self.eps) ** -0.5
             m = self.momentum
             self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
             self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
@@ -427,13 +424,19 @@ class BatchNorm2d(Module):
             count = float(xd.size // c)
 
             def back(g):
-                g_normed = g * gamma
-                # The primitive graph's order: _unbroadcast sums axis 0, then
-                # 2, then 3, and the three terms of d(centered) add left to right.
-                g_var = (_unbroadcast(g_normed * centered, stat) * -0.5) * shifted ** -1.5
-                g_sq = g_var / count
-                gx = (g_normed * inv + g_sq * centered) + g_sq * centered
-                return grads(g, centered * inv, gx + _unbroadcast(-gx, stat) / count)
+                # the node runs once, so its centred map becomes xhat in place
+                # and the input gradient is the one map backward allocates
+                xhat = centered
+                xhat *= inv
+                g_beta = g.sum(axis=(0, 2, 3))
+                gx = g * xhat
+                g_gamma = gx.sum(axis=(0, 2, 3))
+                xhat *= g_gamma.reshape(stat)
+                np.multiply(g, count, out=gx)
+                gx -= g_beta.reshape(stat)
+                gx -= xhat
+                gx *= gamma * inv / count
+                return gx, g_gamma, g_beta
         else:
             # backward reads these arrays: a later train forward replaces the buffers
             mu = self.running_mean.reshape(stat)
@@ -444,7 +447,8 @@ class BatchNorm2d(Module):
             def back(g):
                 normed = xd - mu
                 normed *= inv
-                return grads(g, normed, (g * gamma) * inv)
+                return ((g * gamma) * inv, _unbroadcast(g * normed, stat).reshape(c),
+                        _unbroadcast(g, stat).reshape(c))
 
         out *= gamma
         out += self.beta.data.reshape(stat)

@@ -124,20 +124,12 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return _binary("sub", self, other, lambda a, b: a - b, lambda g: (g, -g))
-
     def __mul__(self, other):
         other = as_tensor(other)
-        sd, od = self.data, other.data  # mul keeps its operands; add and sub, their shapes
+        sd, od = self.data, other.data  # mul keeps its operands; add, their shapes
         return _binary("mul", self, other, lambda a, b: a * b, lambda g: (g * od, g * sd))
 
     __rmul__ = __mul__
-
-    def __pow__(self, p):
-        p = float(p)
-        x = self.data
-        return apply_op("pow", x**p, (self,), lambda g: (g * p * x ** (p - 1.0),))
 
     # -- shape ---------------------------------------------------------
 

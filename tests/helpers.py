@@ -3,18 +3,19 @@
 These stay independent of the library code paths they check: the convolution
 and pooling oracles are direct nested loops, the gradient oracle is a
 central finite difference over the raw parameter arrays, the batchnorm
-oracle builds the layer from primitive tensor ops, and the Grad-CAM oracle
+oracle loops over channels in Python floats, and the Grad-CAM oracle
 records a tape through the whole network.  The tape walkers at the end list
 the nodes of a graph and the arrays their backward closures hold.
 """
 
+import math
 import types
 
 import numpy as np
 
 from attnatr.explain import bilinear_resize
-from attnatr.layers import LayerError, pool2d
-from attnatr.tensor import TapeNode, Tensor, as_tensor, no_grad, relu
+from attnatr.layers import pool2d
+from attnatr.tensor import TapeNode, Tensor, no_grad, relu
 
 
 def rel_error(analytic, numeric, floor=1e-8) -> float:
@@ -231,36 +232,49 @@ def max_pool_backward_naive(x, g, window, stride, padding=(0, 0)):
     return gxp[:, :, ph:ph + h, pw:pw + w]
 
 
-def batchnorm_reference(bn, x, mode: str = "train"):
-    """``bn``'s forward composed from primitive tape ops (11 nodes in train mode).
+def batchnorm_naive(x, gamma, beta, running_mean, running_var, g, mode,
+                    momentum=0.1, eps=1e-12):
+    """Batchnorm's forward and backward, channel by channel in Python floats.
 
-    Updates ``bn``'s running statistics exactly as the layer does; the fused
-    layer must match its output, gradients and statistics bit for bit.
+    Follows Ioffe & Szegedy's algorithm (arXiv 1502.03167, section 3) term
+    by term, every sum a ``math.fsum``: train mode normalises by the mean
+    and biased variance over (N, H, W) and moves the running statistics by
+    ``momentum``; eval mode normalises by the running statistics.  The input
+    gradient is the chain rule through the variance and the mean, not the
+    closed form the layer uses.  ``g`` is the output gradient.  Returns
+    (out, running_mean, running_var, gx, g_gamma, g_beta).
     """
-    x = as_tensor(x)
-    if x.ndim != 4 or x.shape[1] != bn.channels:
-        raise LayerError(
-            f"batchnorm expects (N, {bn.channels}, H, W), got {x.shape}")
-    c = bn.channels
-    gamma = bn.gamma.reshape(1, c, 1, 1)
-    beta = bn.beta.reshape(1, c, 1, 1)
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise LayerError("batchnorm training mode requires batch size >= 2")
-        mu = x.mean(axes=(0, 2, 3), keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axes=(0, 2, 3), keepdims=True)
-        inv = (var + bn.eps) ** -0.5
-        m = bn.momentum
-        bn.running_mean = (1 - m) * bn.running_mean + m * mu.data.reshape(c)
-        bn.running_var = (1 - m) * bn.running_var + m * var.data.reshape(c)
-        return centered * inv * gamma + beta
-    if mode == "eval":
-        inv = Tensor((bn.running_var + bn.eps) ** -0.5)
-        mean = Tensor(bn.running_mean)
-        xc = x - mean.reshape(1, c, 1, 1)
-        return xc * inv.reshape(1, c, 1, 1) * gamma + beta
-    raise LayerError(f"unknown batchnorm mode {mode!r}")
+    x, g = np.asarray(x, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    c = x.shape[1]
+    out, gx = np.empty_like(x), np.empty_like(x)
+    rm = np.array(running_mean, dtype=np.float64)
+    rv = np.array(running_var, dtype=np.float64)
+    g_gamma, g_beta = np.empty(c), np.empty(c)
+    for ch in range(c):
+        xs, gs = x[:, ch].ravel().tolist(), g[:, ch].ravel().tolist()
+        m, gam = len(xs), float(gamma[ch])
+        if mode == "train":
+            mean = math.fsum(xs) / m
+            var = math.fsum((v - mean) ** 2 for v in xs) / m
+            rm[ch] = (1 - momentum) * rm[ch] + momentum * mean
+            rv[ch] = (1 - momentum) * rv[ch] + momentum * var
+        else:
+            mean, var = float(running_mean[ch]), float(running_var[ch])
+        inv = 1.0 / math.sqrt(var + eps)
+        xhat = [(v - mean) * inv for v in xs]
+        dxhat = [gi * gam for gi in gs]
+        out[:, ch] = np.reshape([gam * h + float(beta[ch]) for h in xhat], x[:, ch].shape)
+        g_gamma[ch] = math.fsum(gi * h for gi, h in zip(gs, xhat))
+        g_beta[ch] = math.fsum(gs)
+        if mode == "train":
+            dvar = math.fsum(d * (v - mean) for d, v in zip(dxhat, xs)) * -0.5 * inv ** 3
+            dmean = -inv * math.fsum(dxhat) - 2.0 * dvar * math.fsum(v - mean for v in xs) / m
+            grads = [d * inv + dvar * 2.0 * (v - mean) / m + dmean / m
+                     for d, v in zip(dxhat, xs)]
+        else:
+            grads = [d * inv for d in dxhat]
+        gx[:, ch] = np.reshape(grads, x[:, ch].shape)
+    return out, rm, rv, gx, g_gamma, g_beta
 
 
 def gradcam_reference(model, image, cls, layer):

@@ -136,45 +136,47 @@ def sha256(*arrays) -> str:
                                    for a in arrays)).hexdigest()
 
 
-# sha256 of eval-path bytes, recorded while im2col still copied a strided
-# window view and eval batchnorm still built fresh temporaries; a respelt
-# kernel must reproduce them exactly.  ("grads", attention, insertion) is
-# every parameter gradient of that desk train step, "full" the logits of a
-# full-profile cbam batch-1 eval forward (the 128x128 stem shapes),
-# "gradcam" its default map.
+# sha256 of eval-path bytes on OpenBLAS's SkylakeX kernel; a respelt kernel
+# must reproduce them exactly.  ("grads", attention, insertion) is every
+# parameter gradient of that desk train step and (attention, insertion) the
+# eval logits after one step from it, both recorded when train batchnorm's
+# backward became the closed form; "full", the logits of a full-profile cbam
+# batch-1 eval forward (the 128x128 stem shapes), and "gradcam", its default
+# map, were recorded while im2col still copied a strided window view and
+# eval batchnorm still built fresh temporaries.
 PINNED_EVAL = {
     ("none", "in_block"):
-        "3e13e8f6df7aa6a07abb2d49a3b960f32eb40d7ecca710ffb692d90cd0081bc1",
+        "b6e2df750e04f9040455cd239159f9bd2366f4b897a0a138c6d7fc8ea8bcac4f",
     ("none", "residual_wrap"):
-        "3e13e8f6df7aa6a07abb2d49a3b960f32eb40d7ecca710ffb692d90cd0081bc1",
+        "b6e2df750e04f9040455cd239159f9bd2366f4b897a0a138c6d7fc8ea8bcac4f",
     ("se", "in_block"):
-        "49856e2852968016a78af8e43fdc5245bb55636ee319c44a651f4606e84d9166",
+        "b964a0ade3fb0c77b4b95a30e2de6b9e288d6d041ed7462086a06fd168d19d26",
     ("se", "residual_wrap"):
-        "cfb40022610d8d0df59dc2b360f05329be6aac89fd3c080a4d550b88c6d5905e",
+        "be6df83cd6d4c0984dc7a1196cc695b2dade44f9d07c811a0df185928f811865",
     ("eca", "in_block"):
-        "ab79c7fa6b975c5d10c601b08a8a341a4e4f1e71eacdfd7c687cb57776ba4b52",
+        "a1f869b676265ecd0212d6c1fdfd700881feac42e894931cee65a737a8e3ddb9",
     ("eca", "residual_wrap"):
-        "a2e291be51255d20f140ade92ddb403813295963416f2d851f30d5c55b8948f2",
+        "883163b7f1f72f7ef7e40587a7235ff91872b1b990a6b69229d781bf352d04a7",
     ("cbam", "in_block"):
-        "77c90906b9cb35c04adf36685c551711ef29d97637fd868e58cdc996204ad5b2",
+        "31abacc2d100622be7f44423d2527e0d0dd13db59d12178d836a0b2ac052ad37",
     ("cbam", "residual_wrap"):
-        "031886717c05249fe59bdbc852e0fa7b3c0d437e0e3f14abbcb9573ebd4763b5",
+        "d686c9ff4175b713fb5030d0594643b10e99266afca3bb42d7b3a68db5443f0d",
     ("grads", "none", "in_block"):
-        "3d211a1e48dfb08815856bd02dcd35380c425368157797763a33a33924437c78",
+        "4aaf99907af7340105f28f61bdf02081b1d8634c3345740e3cb1afdf5b835dc5",
     ("grads", "none", "residual_wrap"):
-        "3d211a1e48dfb08815856bd02dcd35380c425368157797763a33a33924437c78",
+        "4aaf99907af7340105f28f61bdf02081b1d8634c3345740e3cb1afdf5b835dc5",
     ("grads", "se", "in_block"):
-        "ac651add5058501456408ee60af01afa072dc9060a41900cefd5ae1370f8884d",
+        "547011d41444b4570dd234bf219044389f525bc884fb44e1d5fb2f864d07cf34",
     ("grads", "se", "residual_wrap"):
-        "eb93f2fa9788312132d4a35b7165c84bfa7404c0a57cf896e76fe5c4a26847da",
+        "aefb0edf5c633c835e27c501f11aa94ea33f01fac374cd007701fd65f4edfd04",
     ("grads", "eca", "in_block"):
-        "1b1ecbeb6ccff1bb0dce7e6b0822fa103f88df3a69bbdfba3d9509fe6f62a2b7",
+        "343db79dab1c6a84e739c513dcf21dd09a9087ebf2f740b7675c525d98404e60",
     ("grads", "eca", "residual_wrap"):
-        "2536e36169cc2b258edaf9ed0b30e7571ab58746bc1214f8e5b9ade44d7fd46e",
+        "661e3a49c3eafdff2bb181cec3d0340ec6a704057e524045658587744c4d29a3",
     ("grads", "cbam", "in_block"):
-        "400250144efd62af6b811cf1357eaa792a21426dcf90328bc361e0bbad3b5130",
+        "b4202f4277b2af4cce8b80c4ff9f11341894248b9e6b5d0137e46bfbe3a6e991",
     ("grads", "cbam", "residual_wrap"):
-        "20500192a8ff096bf0d42d62732aa0ea14390daa746d7c755161758272b3c2a5",
+        "38b2cf0a0f648629ad7597fd51a300026874c285838d8baf99dd7067e9a29bbc",
     "full":
         "4de13cadf67ab7860fa095d01fccdd28b30b2f97e0a06ddf38f3f80eb1e2776f",
     "gradcam":

@@ -70,13 +70,17 @@ def test_phoenix_header_length_must_cover_the_header():
             parse_mstar_phoenix(mutated)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_phoenix_non_finite_magnitude(value):
-    # one such pixel would turn the whole normalized chip into NaN
-    mag = np.random.default_rng(4).uniform(size=(5, 6))
-    mag[2, 3] = value
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pixel", [b"\x7f\xc0\x00\x00", b"\x7f\x80\x00\x01",
+                                   b"\x7f\x80\x00\x00", b"\xff\x80\x00\x00"],
+                         ids=["nan", "snan", "inf", "-inf"])
+def test_phoenix_non_finite_magnitude(pixel):
+    # one such pixel would turn the whole normalized chip into NaN; a
+    # signaling NaN must be refused without a warning on the way
+    blob = write_phoenix(np.random.default_rng(4).uniform(size=(5, 6)))
+    at = int(parse_mstar_phoenix(blob)[1]["PhoenixHeaderLength"]) + 4 * (2 * 6 + 3)
     with pytest.raises(PhoenixError, match="non-finite"):
-        parse_mstar_phoenix(write_phoenix(mag))
+        parse_mstar_phoenix(blob[:at] + pixel + blob[at + 4:])
 
 
 def test_phoenix_crop_and_pad(tmp_path):
